@@ -20,6 +20,7 @@ from .states import PsiParams
 __all__ = ["RunConfig", "cmd_verify", "cmd_sample", "main"]
 
 _PARAM_SCENARIOS = {"epr-psi", "bell-hardy"}
+_FLOAT_OPTIONS = {"--a-re", "--a-im", "--b-re", "--b-im", "--tolerance"}
 
 
 @dataclass
@@ -290,9 +291,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--b-im -8e-05`` as ``--b-im=-8e-05``.
+
+    argparse takes a dash-led token for an option name unless it looks like a
+    plain decimal, so a negative value in exponent notation (or ``-inf``)
+    would not reach its option.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and token.startswith("-") and _is_float(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     config = RunConfig(
         scenario=args.scenario,
         a_re=args.a_re,
@@ -308,11 +333,14 @@ def main(argv=None) -> int:
     if config.flip_claim is not None and config.scenario == "all":
         print("error: --flip-claim requires a single --scenario", file=sys.stderr)
         return 2
+    if not 0.0 <= config.tolerance < 1.0:
+        print(f"error: --tolerance must be a finite number in [0, 1), got {config.tolerance}", file=sys.stderr)
+        return 2
     if any(name in _PARAM_SCENARIOS for name in config.selected()):
         try:
             config.psi_params()
-        except ValueError:
-            print("error: 3|a|^2+|b|^2 must equal 1", file=sys.stderr)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
     if config.trials < 1:
         print("error: --trials must be positive", file=sys.stderr)

@@ -133,7 +133,7 @@ def certify_ser(state: StateVector, claim: SerClaim, tolerance: float = CERTAINT
         return Certification(False, "condition-unpreparable", "conditioning outcome has probability ~0")
     except IncompatibleObservablesError:
         return Certification(False, "incompatible-target", "target does not commute with the conditioning set")
-    if abs(p - 1.0) > tolerance:
+    if not abs(p - 1.0) <= tolerance:
         return Certification(False, "not-certain", f"conditional probability is {p!r}, not 1")
     return Certification(True)
 
@@ -301,7 +301,9 @@ def run_epr_psi(
         )
     )
 
-    report.incompleteness_verdict = all(bool(c) for _, c in certified) and not shared
+    # every check above is a premise of the argument, so a failing one (even a
+    # NaN post-selection value) voids the verdict
+    report.incompleteness_verdict = report.passed()
     return report
 
 
@@ -436,7 +438,8 @@ def run_bell_hardy(
         )
     )
 
-    report.contradiction_verdict = all(bool(c) for _, c in certified) and product_norm < OPERATOR_ZERO_TOL
+    # every check above is a premise of the argument, so a failing one voids the verdict
+    report.contradiction_verdict = report.passed()
     return report
 
 
@@ -583,12 +586,6 @@ def sample_scenario(
     entries: list[FrequencyEntry] = []
     unobserved: list[tuple[float, ...]] = []
 
-    def _lookup(tup):
-        for key, count in counts.items():
-            if all(abs(k - v) <= 1e-8 for k, v in zip(key, tup)):
-                return count
-        return 0
-
     combos: list[tuple[float, ...]] = [()]
     for values in spectra:
         combos = [c + (v,) for c in combos for v in values]
@@ -597,7 +594,7 @@ def sample_scenario(
     for tup in combos:
         assignment = OutcomeAssignment(list(zip(observables, tup)))
         p = outcome_probability(state, assignment)
-        count = _lookup(tup)
+        count = counts.get(tup, 0)
         freq = count / trials
         z: float | None = None
         if 0.0 < p < 1.0:

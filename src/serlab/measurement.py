@@ -25,6 +25,9 @@ SPECTRUM_MATCH_TOL = 1e-8
 ZERO_PROBABILITY_TOL = 1e-12
 RNG_ALGORITHM = "philox4x64"
 
+_STRAY_BRANCH_TOL = 1e-15
+_CHUNK_TRIALS = 1 << 16
+
 __all__ = [
     "COMMUTATION_TOL",
     "SPECTRUM_MATCH_TOL",
@@ -193,56 +196,77 @@ def _require_commuting(observables) -> list[Observable]:
     return obs
 
 
-def _trial_uniforms(seed: int, trials: int, draws_per_trial: int) -> np.ndarray:
-    key = int(seed) & 0xFFFFFFFFFFFFFFFF
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random((trials, draws_per_trial))
+class _BranchTree:
+    """The sequential Lüders measurement tree of a commuting observable list, as tables.
+
+    A node at depth ``d`` is an outcome prefix of length ``d`` that a draw can
+    reach; nodes are numbered in lexicographic order of their prefixes.  For
+    depth ``d``, ``cums[d][j, i]`` is node ``i``'s cumulative conditional
+    probability of branches ``0..j`` (the last branch needs no threshold), and
+    ``nexts[d][i * n_d + c]`` is the node a draw of branch ``c`` leads to,
+    after the stray-branch remap.  ``leaves`` holds each leaf's outcome
+    indices and collapsed amplitudes.
+    """
+
+    __slots__ = ("cums", "nexts", "leaves")
+
+    def __init__(self, state: StateVector, obs: list[Observable]):
+        nodes = [((), state.amplitudes)]
+        self.cums, self.nexts = [], []
+        for o in obs:
+            projectors = o.spectral().projectors
+            n = len(projectors)
+            cums, nexts, children = [], [], []
+            for prefix, amps in nodes:
+                probs = np.array([max(float(np.real(np.vdot(amps, proj @ amps))), 0.0) for proj in projectors])
+                cums.append(np.cumsum(probs)[:-1])
+                # roundoff can push a uniform past the last nonzero branch
+                remap = [c if probs[c] > _STRAY_BRANCH_TOL else int(np.argmax(probs)) for c in range(n)]
+                live = sorted(set(remap))
+                nexts.extend(len(children) + live.index(c) for c in remap)
+                children.extend((prefix + (c,), (projectors[c] @ amps) / np.sqrt(probs[c])) for c in live)
+            self.cums.append(np.ascontiguousarray(np.array(cums).reshape(len(nodes), n - 1).T))
+            self.nexts.append(np.array(nexts, dtype=np.intp))
+            nodes = children
+        self.leaves = nodes
+
+    def descend(self, uniforms: np.ndarray) -> np.ndarray:
+        """Leaf index of each row of ``uniforms`` (one column per depth)."""
+        node = np.zeros(len(uniforms), dtype=np.intp)
+        for d, (cum, nxt) in enumerate(zip(self.cums, self.nexts)):
+            u = uniforms[:, d]
+            branch = node * (len(cum) + 1)
+            for col in cum:
+                branch += col.take(node) <= u
+            node = nxt.take(branch)
+        return node
 
 
-def _sample_indices(state, observables, seed, trials):
-    """Outcome indices (into each observable's distinct eigenvalues) per trial.
+def _sample_leaves(state, observables, seed, trials):
+    """Validated observables, their branch tree, and the leaf index of every trial in chunks.
 
-    Sequential Born-rule draws with Lüders collapse in the given order; the
-    conditional distributions form a small tree that is computed once, so the
-    per-trial work is just mapping uniforms through cumulative probabilities.
+    Sequential Born-rule draws with Lüders collapse in the given order.  The
+    uniforms come from one Philox stream in chunks of ``_CHUNK_TRIALS`` rows
+    of ``k`` draws, so trial ``t`` still uses offsets ``t*k .. t*k + k - 1``
+    while memory stays flat in ``trials``.
     """
     obs = _require_commuting(observables)
     if obs[0].dim != state.dim:
         raise ValueError("state and observables live in different spaces")
     if trials < 1:
         raise ValueError("trials must be positive")
-    k = len(obs)
-    uniforms = _trial_uniforms(seed, trials, k)
-    indices = np.empty((trials, k), dtype=np.intp)
-    leaf_states: dict[tuple[int, ...], StateVector] = {}
+    tree = _BranchTree(state, obs)
 
-    def descend(rows: np.ndarray, current: StateVector, prefix: tuple[int, ...]) -> None:
-        depth = len(prefix)
-        if depth == k:
-            leaf_states[prefix] = current
-            return
-        spec = obs[depth].spectral()
-        amps = current.amplitudes
-        probs = np.array(
-            [max(float(np.real(np.vdot(amps, proj @ amps))), 0.0) for proj in spec.projectors]
-        )
-        cum = np.cumsum(probs)
-        choice = np.searchsorted(cum, uniforms[rows, depth], side="right")
-        choice = np.minimum(choice, len(probs) - 1)
-        stray = probs[choice] <= 1e-15
-        if np.any(stray):
-            # roundoff pushed a uniform past the last nonzero branch
-            choice[stray] = int(np.argmax(probs))
-        for i, p in enumerate(probs):
-            sub = rows[choice == i]
-            if sub.size == 0:
-                continue
-            indices[sub, depth] = i
-            branch = StateVector((spec.projectors[i] @ amps) / np.sqrt(p))
-            descend(sub, branch, prefix + (i,))
+    def chunks():
+        gen = np.random.Generator(np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF))
+        for start in range(0, trials, _CHUNK_TRIALS):
+            yield tree.descend(gen.random((min(_CHUNK_TRIALS, trials - start), len(obs))))
 
-    descend(np.arange(trials), state, ())
-    return obs, indices, leaf_states
+    return obs, tree, chunks()
+
+
+def _outcomes(obs, prefix) -> tuple[float, ...]:
+    return tuple(o.eigenvalues()[i] for o, i in zip(obs, prefix))
 
 
 def sample_joint(state: StateVector, observables, seed: int, trials: int) -> list[MeasurementRecord]:
@@ -251,32 +275,25 @@ def sample_joint(state: StateVector, observables, seed: int, trials: int) -> lis
     Fully reproducible for a fixed (seed, trials, order); the records for the
     first N trials do not depend on the total trial count.
     """
-    obs, indices, leaf_states = _sample_indices(state, observables, seed, trials)
+    obs, tree, chunks = _sample_leaves(state, observables, seed, trials)
+    leaf_ids = np.concatenate(list(chunks)).tolist()
     labels = [_label(o) for o in obs]
-    spectra = [o.eigenvalues() for o in obs]
-    records = []
-    for t in range(trials):
-        key = tuple(int(i) for i in indices[t])
-        outcomes = tuple((labels[d], spectra[d][key[d]]) for d in range(len(obs)))
-        records.append(MeasurementRecord(trial=t, outcomes=outcomes, post_state=leaf_states[key]))
-    return records
+    leaves = {}
+    for leaf in set(leaf_ids):
+        prefix, amps = tree.leaves[leaf]
+        leaves[leaf] = (tuple(zip(labels, _outcomes(obs, prefix))), StateVector(amps))
+    return [
+        MeasurementRecord(trial=t, outcomes=leaves[leaf][0], post_state=leaves[leaf][1])
+        for t, leaf in enumerate(leaf_ids)
+    ]
 
 
 def sample_counts(state: StateVector, observables, seed: int, trials: int) -> dict[tuple[float, ...], int]:
     """Aggregated joint-outcome counts; same stream and draws as :func:`sample_joint`."""
-    obs, indices, _ = _sample_indices(state, observables, seed, trials)
-    spectra = [o.eigenvalues() for o in obs]
-    strides = np.ones(len(obs), dtype=np.intp)
-    for d in range(len(obs) - 2, -1, -1):
-        strides[d] = strides[d + 1] * len(spectra[d + 1])
-    codes = indices @ strides
-    unique, counts = np.unique(codes, return_counts=True)
-    out: dict[tuple[float, ...], int] = {}
-    for code, count in zip(unique, counts):
-        key = []
-        remainder = int(code)
-        for d in range(len(obs)):
-            key.append(spectra[d][remainder // strides[d]])
-            remainder %= strides[d]
-        out[tuple(key)] = int(count)
-    return out
+    obs, tree, chunks = _sample_leaves(state, observables, seed, trials)
+    totals = np.zeros(len(tree.leaves), dtype=np.int64)
+    for leaf_ids in chunks:
+        totals += np.bincount(leaf_ids, minlength=len(tree.leaves))
+    return {
+        _outcomes(obs, prefix): int(count) for (prefix, _), count in zip(tree.leaves, totals) if count
+    }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ class PsiParams:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
+        if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
+            raise ValueError("amplitudes must be finite")
         if abs(self.a) <= _NONZERO_TOL or abs(self.b) <= _NONZERO_TOL:
             raise ValueError("both amplitudes must be nonzero (a*b != 0)")
         residual = 3.0 * abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0

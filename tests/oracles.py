@@ -8,6 +8,8 @@ amplitudes.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 CLUSTER_TOL = 1e-8
@@ -82,3 +84,49 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return amps / np.linalg.norm(amps)
+
+
+def distinct_eigenvalues(matrix: np.ndarray) -> list[float]:
+    """Ascending distinct eigenvalues of a Hermitian matrix, clustered like the oracle's eigenspaces."""
+    return [value for value, _ in _clusters(np.linalg.eigvalsh(matrix))]
+
+
+def sequential_sample_outcomes(
+    amplitudes: np.ndarray, matrices: list[np.ndarray], seed: int, trials: int, stray_tol: float = 1e-15
+) -> list[tuple[int, ...]]:
+    """Per-trial reference sampler: each trial's outcome indices (into ascending eigenvalues).
+
+    Trial ``t`` takes the Philox uniforms at stream offsets ``t*k .. t*k + k - 1``
+    and maps them one at a time through the Lüders-conditional cumulative
+    probabilities of the outcome prefix drawn so far, P(prefix, c) / P(prefix),
+    with joint probabilities from the joint-eigenbasis expansion; the
+    conditionals of each prefix met are memoised.  A uniform that lands on a
+    branch of probability <= ``stray_tol`` (roundoff past the last nonzero
+    branch) takes the most probable branch.
+    """
+    spectra = [distinct_eigenvalues(m) for m in matrices]
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((trials, len(matrices))).tolist()
+    memo: dict[tuple[int, ...], tuple[list[float], list[float], int]] = {}
+
+    def branches(prefix):
+        if prefix not in memo:
+            depth = len(prefix)
+            values = [spectra[d][i] for d, i in enumerate(prefix)]
+            joint = [
+                joint_probability(amplitudes, matrices[: depth + 1], values + [value]) for value in spectra[depth]
+            ]
+            probs = [p / sum(joint) for p in joint]
+            memo[prefix] = (list(np.cumsum(probs)[:-1]), probs, int(np.argmax(probs)))
+        return memo[prefix]
+
+    outcomes = []
+    for row in uniforms:
+        prefix: tuple[int, ...] = ()
+        for u in row:
+            cum, probs, most_probable = branches(prefix)
+            c = bisect.bisect_right(cum, u)
+            if probs[c] <= stray_tol:
+                c = most_probable
+            prefix += (c,)
+        outcomes.append(prefix)
+    return outcomes

@@ -131,3 +131,37 @@ def test_unknown_scenario_exits_2():
 def test_trials_must_be_positive(capsys):
     assert main(["sample", "--scenario", "bell-ghz", "--trials", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "1", "1.5"])
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_tolerance_outside_unit_interval_exits_2(command, tolerance, capsys):
+    argv = [command, "--scenario", "epr-psi", f"--tolerance={tolerance}", "--trials", "10"]
+    if command == "verify":
+        argv += ["--flip-claim", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --tolerance")
+
+
+@pytest.mark.parametrize("flag", ["--a-re", "--a-im", "--b-re", "--b-im"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_amplitudes_exit_2(flag, value, capsys):
+    for scenario in ("epr-psi", "bell-hardy"):
+        assert main(["verify", "--scenario", scenario, f"{flag}={value}", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: amplitudes must be finite\n"
+
+
+def test_negative_exponent_value_as_separate_argument(capsys):
+    b_im = -8e-05
+    b_re = repr((0.52 - b_im**2) ** 0.5)  # 3 * 0.4^2 + |b|^2 = 1
+    base = ["verify", "--scenario", "all", "--a-re", "0.4", "--b-re", b_re, "--format", "json"]
+    assert main(base + ["--b-im=-8e-05"]) == 0
+    joined = capsys.readouterr().out
+    assert main(base + ["--b-im", "-8e-05"]) == 0
+    assert capsys.readouterr().out == joined
+    assert json.loads(joined)[0]["parameters"]["b_im"] == b_im

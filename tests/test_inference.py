@@ -53,6 +53,20 @@ def test_certify_rejects_uncertain_claim():
     assert cert.failed_clause == "not-certain"
 
 
+def test_certify_nan_tolerance_never_certifies():
+    state = psi_state(DEFAULT)
+    claim = SerClaim(
+        spin(Axis.X, 2, 3),
+        -1.0,
+        OutcomeAssignment([(spin(Axis.Z, 1, 3), +1.0)]),
+        frozenset({1}),
+        frozenset({2}),
+    )
+    cert = certify_ser(state, claim, tolerance=float("nan"))
+    assert not cert
+    assert cert.failed_clause == "not-certain"
+
+
 def test_certify_rejects_overlapping_regions():
     claim = SerClaim(
         hardy_projector(),
@@ -155,6 +169,16 @@ def test_verdicts_invariant_over_random_parameters():
         params = random_psi_params(rng)
         assert run_epr_psi(params).incompleteness_verdict is True
         assert run_bell_hardy(params).contradiction_verdict is True
+
+
+@pytest.mark.parametrize("runner", [run_epr_psi, run_bell_hardy])
+def test_psi_verdict_false_beside_failing_check(runner, monkeypatch):
+    # a NaN post-selection probability fails its check, and the verdict with it
+    monkeypatch.setattr("serlab.inference.outcome_probability", lambda state, assignment: float("nan"))
+    report = runner(DEFAULT)
+    assert not report.passed()
+    assert report.first_failure().anchor.endswith(":postselect")
+    assert {report.incompleteness_verdict, report.contradiction_verdict} == {False, None}
 
 
 def test_run_scenario_dispatch():

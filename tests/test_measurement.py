@@ -1,10 +1,15 @@
 """Tests for probabilities, collapse, compatibility, and seeded sampling."""
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from serlab.hilbert import Observable, StateVector, basis_state
 from serlab.measurement import (
+    _CHUNK_TRIALS,
+    _BranchTree,
     IncompatibleObservablesError,
     OutcomeAssignment,
     ZeroProbabilityError,
@@ -16,9 +21,9 @@ from serlab.measurement import (
     sample_joint,
 )
 from serlab.spin import Axis, hardy_projector, mermin_A, pauli, spin, spin_product
-from serlab.states import PsiParams, ghz_mermin_state, psi_state
+from serlab.states import PsiParams, ghz_mermin_state, psi_state, random_psi_params
 
-from oracles import joint_probability, random_state, random_unitary
+from oracles import joint_probability, random_state, random_unitary, sequential_sample_outcomes
 
 DEFAULT = PsiParams(0.5, 0.5)
 
@@ -272,3 +277,56 @@ def test_sample_rejects_noncommuting():
 def test_sample_requires_positive_trials():
     with pytest.raises(ValueError):
         sample_joint(basis_state("+"), [pauli(Axis.Z)], seed=0, trials=0)
+
+
+def _sampling_plans():
+    rng = np.random.default_rng(383)
+    xxz = [spin(Axis.X, 1, 3), spin(Axis.X, 2, 3), spin(Axis.Z, 3, 3)]
+    null_scan = [spin(Axis.Z, 1, 3), spin(Axis.Z, 2, 3), hardy_projector(3)]
+    return {
+        "psi-xxz": (psi_state(random_psi_params(rng)), xxz),
+        "ghz-xxx": (ghz_mermin_state(), [spin(Axis.X, p, 3) for p in (1, 2, 3)]),
+        "random-null-scan": (StateVector(random_state(rng, 8)), null_scan),
+    }
+
+
+@pytest.mark.parametrize("plan", sorted(_sampling_plans()))
+@pytest.mark.parametrize("seed", [0, 383, 2**31 - 1])
+def test_sample_counts_match_per_trial_oracle(plan, seed):
+    state, obs = _sampling_plans()[plan]
+    chunk = _CHUNK_TRIALS
+    grid = (1, 7, 1000, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)
+    # the oracle's trial t depends on stream offsets t*k .. t*k + k - 1 only
+    oracle = sequential_sample_outcomes(state.amplitudes, [o.matrix for o in obs], seed, max(grid))
+    for trials in grid:
+        counts = sample_counts(state, obs, seed=seed, trials=trials)
+        by_index = {tuple(o.eigenvalues().index(v) for o, v in zip(obs, key)): n for key, n in counts.items()}
+        assert by_index == Counter(oracle[:trials]), (plan, seed, trials)
+
+
+def test_stray_branch_goes_to_most_probable_branch():
+    # P(sigma_z(1) = -1) = 1 - 1e-9 and P(sigma_z(1) = +1) = 0: a uniform above
+    # 1 - 1e-9 lands past the last nonzero branch and must be remapped to it,
+    # then descend through that branch's own sigma_z(2) table (0.64 / 0.36).
+    norm = np.sqrt(1.0 - 1e-9)
+    state = StateVector([0.0, 0.0, 0.6 * norm, 0.8 * norm])
+    obs = [spin(Axis.Z, 1, 2), spin(Axis.Z, 2, 2)]
+    tree = _BranchTree(state, obs)
+    below_one = np.nextafter(1.0, 0.0)
+    uniforms = np.array([[below_one, 0.5], [below_one, 0.7], [0.3, below_one], [below_one, below_one]])
+    prefixes = [tree.leaves[leaf][0] for leaf in tree.descend(uniforms)]
+    assert prefixes == [(0, 0), (0, 1), (0, 1), (0, 1)]
+    assert [o.eigenvalues()[0] for o in obs] == [-1.0, -1.0]
+
+
+def test_sample_counts_memory_flat_in_trials():
+    state = psi_state(DEFAULT)
+    obs = [spin(Axis.Z, p, 3) for p in (1, 2, 3)]
+    tracemalloc.start()
+    try:
+        counts = sample_counts(state, obs, seed=1, trials=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 10**6
+    assert peak < 16 * 2**20

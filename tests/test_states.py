@@ -20,6 +20,11 @@ def test_psi_params_validation():
         PsiParams(0.0, 1.0)
     with pytest.raises(ValueError, match="nonzero"):
         PsiParams(1 / np.sqrt(3.0), 0.0)
+    for bad in (float("nan"), float("inf"), complex(0.5, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            PsiParams(bad, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            PsiParams(0.5, bad)
 
 
 def test_psi_state_amplitudes():
