@@ -13,6 +13,8 @@ bit value 0 means spin up along z (written ``+``), bit value 1 means spin down
 from __future__ import annotations
 
 import itertools
+import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +72,8 @@ class StateVector:
     def __init__(self, amplitudes, *, normalize: bool = False):
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
         _check_dim(amps.size, "state")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if norm < 1e-12:
             raise ValueError("state vector must be nonzero")
@@ -173,27 +177,39 @@ def _spectral_decomposition(matrix: np.ndarray) -> SpectralDecomposition:
 
 
 class Observable:
-    """Hermitian operator with a lazily cached spectral decomposition."""
+    """Immutable Hermitian operator with a lazily cached spectral decomposition.
 
-    __slots__ = ("_matrix", "label", "_spectral")
+    Neither the matrix nor ``label`` can change after construction, so one
+    instance can be shared.  Facts that depend only on operators (see
+    :func:`joint_fact`) are memoised on the instance and freed with it.
+    """
+
+    __slots__ = ("_matrix", "_label", "_spectral", "_facts", "__weakref__")
 
     def __init__(self, entries, label: str | None = None):
         mat = np.array(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator entries must form a square matrix, got shape {mat.shape}")
         _check_dim(mat.shape[0], "operator")
+        if not np.isfinite(mat).all():
+            raise ValueError("operator entries must be finite")
         deviation = float(np.max(np.abs(mat - mat.conj().T)))
         if deviation > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
         mat = (mat + mat.conj().T) / 2
         mat.setflags(write=False)
         self._matrix = mat
-        self.label = label
+        self._label = label
         self._spectral = None
+        self._facts = {}
 
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix
+
+    @property
+    def label(self) -> str | None:
+        return self._label
 
     @property
     def dim(self) -> int:
@@ -223,6 +239,30 @@ class Observable:
     def __repr__(self) -> str:
         name = self.label or "Observable"
         return f"{name}[{self.dim}x{self.dim}]"
+
+
+_PARTNERS = "partners"
+
+
+def joint_fact(ops, key, compute):
+    """``compute()``, memoised as the fact ``key`` about the observables ``ops`` jointly.
+
+    For state-independent facts only.  The memo is held by ``ops[0]``, in
+    maps keyed weakly by each further observable, so a fact is freed as soon
+    as any observable it is about is freed.  Threads that race on a fact
+    compute equal values; ``setdefault`` keeps them on one shared map.
+    """
+    facts = ops[0]._facts
+    for other in ops[1:]:
+        partners = facts.get(_PARTNERS)
+        if partners is None:
+            partners = facts.setdefault(_PARTNERS, weakref.WeakKeyDictionary())
+        facts = partners.get(other)
+        if facts is None:
+            facts = partners.setdefault(other, {})
+    if key not in facts:
+        facts[key] = compute()
+    return facts[key]
 
 
 def tensor(a, b):
@@ -283,30 +323,39 @@ def has_common_eigenstate(ops) -> bool:
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one observable")
-    spectra = [op.eigenvalues() for op in ops]
-    return any(common_eigenstate_dim(ops, combo) >= 1 for combo in itertools.product(*spectra))
+
+    def search() -> bool:
+        spectra = [op.eigenvalues() for op in ops]
+        return any(common_eigenstate_dim(ops, combo) >= 1 for combo in itertools.product(*spectra))
+
+    return joint_fact(ops, "has_common_eigenstate", search)
 
 
 def acts_only_on(op: Observable, particles, n_particles: int, tol: float = PROJECTOR_TOL) -> bool:
     """Whether ``op`` equals (operator on ``particles``) tensor identity on the rest.
 
     The reduced operator on the region is recovered by a normalized partial
-    trace over the complement and compared entrywise against ``op``.
+    trace over the complement and compared entrywise against ``op``; the
+    largest entrywise deviation is memoised on ``op`` per region.
     """
-    region = sorted(set(particles))
+    n_particles = operator.index(n_particles)
+    region = tuple(sorted({operator.index(p) for p in particles}))
     if op.dim != 2**n_particles:
         raise ValueError(f"operator dimension {op.dim} does not match {n_particles} particles")
     if any(p < 1 or p > n_particles for p in region):
-        raise ValueError(f"particle indices {region} out of range 1..{n_particles}")
+        raise ValueError(f"particle indices {list(region)} out of range 1..{n_particles}")
     rest = [p for p in range(1, n_particles + 1) if p not in region]
     if not rest:
         return True
 
-    perm = [p - 1 for p in region] + [p - 1 for p in rest]
-    tens = op.matrix.reshape([2] * (2 * n_particles))
-    tens = np.transpose(tens, perm + [n_particles + ax for ax in perm])
-    d_region, d_rest = 2 ** len(region), 2 ** len(rest)
-    blocks = tens.reshape(d_region, d_rest, d_region, d_rest)
-    reduced = np.einsum("ajbj->ab", blocks) / d_rest
-    rebuilt = np.kron(reduced, np.eye(d_rest))
-    return float(np.max(np.abs(rebuilt - blocks.reshape(op.dim, op.dim)))) <= tol
+    def deviation() -> float:
+        perm = [p - 1 for p in region] + [p - 1 for p in rest]
+        tens = op.matrix.reshape([2] * (2 * n_particles))
+        tens = np.transpose(tens, perm + [n_particles + ax for ax in perm])
+        d_region, d_rest = 2 ** len(region), 2 ** len(rest)
+        blocks = tens.reshape(d_region, d_rest, d_region, d_rest)
+        reduced = np.einsum("ajbj->ab", blocks) / d_rest
+        rebuilt = np.kron(reduced, np.eye(d_rest))
+        return float(np.max(np.abs(rebuilt - blocks.reshape(op.dim, op.dim))))
+
+    return joint_fact((op,), ("acts_only_on", region), deviation) <= tol

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Observable, StateVector
+from .hilbert import Observable, StateVector, joint_fact
 
 COMMUTATION_TOL = 1e-10
 SPECTRUM_MATCH_TOL = 1e-8
@@ -55,11 +55,17 @@ class ZeroProbabilityError(ValueError):
 
 
 def commutes(a: Observable, b: Observable, tol: float = COMMUTATION_TOL) -> bool:
-    """Whether the commutator ab - ba vanishes entrywise within ``tol``."""
+    """Whether the commutator ab - ba vanishes entrywise within ``tol``.
+
+    The commutator's largest entry is memoised on the pair (a, b).
+    """
     if a.dim != b.dim:
         raise ValueError("observables act on different spaces")
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return float(np.max(np.abs(comm))) < tol
+
+    def largest_entry() -> float:
+        return float(np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix)))
+
+    return joint_fact((a, b), "commutes", largest_entry) < tol
 
 
 def _label(obs: Observable) -> str:

@@ -62,9 +62,29 @@ def embed(op: Observable, particle: int, n_particles: int) -> Observable:
     return Observable(reduce(np.kron, factors), label=label)
 
 
+# The named operators below are shared: each factory returns one instance per
+# argument tuple, built on its first call.  Keys pair every argument with its
+# type, since True, 1 and 1.0 hash alike but do not build alike; arguments
+# that make a build raise are never stored, so they raise on every call.
+# setdefault hands threads that race on a first call the same instance.
+_SHARED: dict[tuple, Observable] = {}
+
+
+def _shared(build, *args) -> Observable:
+    key = (build, *((type(arg), arg) for arg in args))
+    op = _SHARED.get(key)
+    if op is None:
+        op = _SHARED.setdefault(key, build(*args))
+    return op
+
+
+def _embedded_pauli(axis: Axis, particle: int, n_particles: int) -> Observable:
+    return embed(pauli(axis), particle, n_particles)
+
+
 def spin(axis: Axis, particle: int, n_particles: int) -> Observable:
     """Pauli component of one particle embedded in the joint space."""
-    return embed(pauli(axis), particle, n_particles)
+    return _shared(_embedded_pauli, axis, particle, n_particles)
 
 
 def hardy_projector(n_particles: int = 2) -> Observable:
@@ -77,6 +97,10 @@ def hardy_projector(n_particles: int = 2) -> Observable:
     """
     if n_particles not in (2, 3):
         raise ValueError(f"supported particle counts are 2 and 3, got {n_particles}")
+    return _shared(_hardy_projector, n_particles)
+
+
+def _hardy_projector(n_particles: int) -> Observable:
     matrix = np.eye(4, dtype=complex)
     matrix[3, 3] = 0.0
     if n_particles == 3:
@@ -102,7 +126,7 @@ def mermin_A(j: int) -> Observable:
     """
     if j not in (1, 2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {j}")
-    return _three_particle_product(_A_FACTORS[j], f"A_{j}")
+    return _shared(_three_particle_product, _A_FACTORS[j], f"A_{j}")
 
 
 def mermin_B(j: int) -> Observable:
@@ -114,13 +138,17 @@ def mermin_B(j: int) -> Observable:
     """
     if j not in (1, 2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {j}")
-    return _three_particle_product(_B_FACTORS[j], f"B_{j}")
+    return _shared(_three_particle_product, _B_FACTORS[j], f"B_{j}")
 
 
 def spin_product(axis: Axis, n_particles: int = 3) -> Observable:
     """Product of the same Pauli component on every particle."""
     if not 2 <= n_particles <= 4:
         raise ValueError(f"particle count must be in 2..4, got {n_particles}")
+    return _shared(_spin_product, axis, n_particles)
+
+
+def _spin_product(axis: Axis, n_particles: int) -> Observable:
     mats = [_SIGMA[axis]] * n_particles
     label = "*".join(f"sigma_{axis.value}({k})" for k in range(1, n_particles + 1))
     return Observable(reduce(np.kron, mats), label=label)

@@ -1,5 +1,7 @@
 """Tests for states, observables, tensor products, and eigenspace intersection."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from serlab.hilbert import (
     has_common_eigenstate,
     tensor,
 )
-from serlab.spin import Axis, embed, hardy_projector, mermin_A, pauli
+from serlab.spin import Axis, embed, hardy_projector, mermin_A, pauli, spin
 
 from oracles import random_hermitian, random_unitary
 
@@ -55,6 +57,35 @@ def test_state_vector_immutable():
     sv = basis_state("+")
     with pytest.raises(ValueError):
         sv.amplitudes[0] = 0.0
+
+
+def test_state_vector_rejects_nan_amplitude():
+    # a NaN norm fails every comparison, so it slipped past both norm checks
+    for normalize in (False, True):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector([np.nan, 0.0], normalize=normalize)
+
+
+def test_observable_rejects_nan_entry():
+    with pytest.raises(ValueError, match="finite"):
+        Observable([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_observable_rejects_infinite_entries():
+    # inf - inf is NaN, and a NaN deviation passed the Hermitian test
+    with pytest.raises(ValueError, match="finite"):
+        Observable([[1.0, np.inf], [np.inf, 1.0]])
+
+
+def test_observable_label_is_read_only():
+    op = Observable(np.eye(2), label="I")
+    with pytest.raises(AttributeError):
+        op.label = "J"
+    assert op.label == "I"
+    shared = spin(Axis.Z, 1, 3)
+    with pytest.raises(AttributeError):
+        shared.label = "renamed"
+    assert shared.label == "sigma_z(1)"
 
 
 # --- tensor -------------------------------------------------------------------
@@ -235,3 +266,39 @@ def test_acts_only_on_identity_anywhere():
     ident = identity(8)
     assert acts_only_on(ident, set(), 3)
     assert acts_only_on(ident, {2}, 3)
+
+
+# --- memoised facts -------------------------------------------------------------
+
+
+REGIONS = [region for k in (1, 2, 3) for region in itertools.combinations((1, 2, 3), k)]
+
+
+def test_memoised_locality_matches_a_fresh_copy(named_operators):
+    for op in named_operators:
+        for region in REGIONS:
+            for tol in (1e-10, 0.0, 2.0):
+                expected = acts_only_on(Observable(op.matrix), region, 3, tol)
+                assert acts_only_on(op, region, 3, tol) is expected
+                assert acts_only_on(op, region, 3, tol) is expected
+
+
+def test_memoised_locality_still_validates_every_call():
+    op = spin(Axis.X, 1, 3)
+    assert acts_only_on(op, [1], 3)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            acts_only_on(op, [1], 2)
+        with pytest.raises(ValueError):
+            acts_only_on(op, [4], 3)
+        with pytest.raises(TypeError):
+            acts_only_on(op, [1.0], 3)
+
+
+def test_memoised_common_eigenstate_matches_fresh_copies(named_operators):
+    for a, b in itertools.product(named_operators, repeat=2):
+        expected = has_common_eigenstate([Observable(a.matrix), Observable(b.matrix)])
+        assert has_common_eigenstate([a, b]) is expected
+        assert has_common_eigenstate([a, b]) is expected
+    triple = [spin(Axis.X, 1, 3), spin(Axis.X, 2, 3), hardy_projector(3)]
+    assert has_common_eigenstate(triple) is has_common_eigenstate([Observable(o.matrix) for o in triple]) is False

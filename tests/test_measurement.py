@@ -1,12 +1,15 @@
 """Tests for probabilities, collapse, compatibility, and seeded sampling."""
 
+import gc
+import itertools
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from serlab.hilbert import Observable, StateVector, basis_state
+from serlab.hilbert import Observable, StateVector, acts_only_on, basis_state, has_common_eigenstate
 from serlab.measurement import (
     _CHUNK_TRIALS,
     _BranchTree,
@@ -168,8 +171,30 @@ def test_commutes_hardy_cases():
 
 
 def test_commutes_dim_mismatch():
-    with pytest.raises(ValueError):
-        commutes(pauli(Axis.Z), spin(Axis.Z, 1, 2))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            commutes(pauli(Axis.Z), spin(Axis.Z, 1, 2))
+
+
+def test_memoised_commutes_matches_fresh_copies(named_operators):
+    for a, b in itertools.product(named_operators, repeat=2):
+        for tol in (1e-10, 0.0, 3.0):
+            expected = commutes(Observable(a.matrix), Observable(b.matrix), tol)
+            assert commutes(a, b, tol) is expected
+            assert commutes(a, b, tol) is expected
+
+
+def test_caller_observable_is_freed_after_memoised_facts():
+    named = spin(Axis.Z, 1, 3)
+    caller = Observable(np.diag([1.0, -1.0] * 4), label="sigma_z(3) by hand")
+    assert commutes(caller, named) and commutes(named, caller) and commutes(caller, caller)
+    assert acts_only_on(caller, [3], 3)
+    assert has_common_eigenstate([named, caller])
+    assert OutcomeAssignment([(named, 1.0), (caller, -1.0)]).dim == 8
+    freed = weakref.ref(caller)
+    del caller
+    gc.collect()
+    assert freed() is None
 
 
 # --- collapse -------------------------------------------------------------------

@@ -1,14 +1,26 @@
 """Tests for Pauli components, embeddings, and the named three-qubit operators."""
 
+import importlib
+import os
+import subprocess
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import serlab
+from serlab import hilbert
+from serlab.cli import main
 from serlab.hilbert import Observable, basis_state
 from serlab.measurement import OutcomeAssignment, commutes, conditional_probability, outcome_probability
 from serlab.spin import Axis, embed, hardy_projector, mermin_A, mermin_B, pauli, spin, spin_product
 from serlab.states import ghz_mermin_state
 
 from oracles import random_hermitian
+
+spin_module = importlib.import_module("serlab.spin")  # the package exports a function named spin
 
 
 def test_pauli_z_eigenbasis():
@@ -161,3 +173,104 @@ def test_y_phase_convention_independence():
     assert np.max(np.abs(product - np.eye(8))) < 1e-12
     xxx = spin_product(Axis.X, 3)
     assert abs(outcome_probability(state, OutcomeAssignment([(xxx, -1.0)])) - 1.0) < 1e-12
+
+
+# --- shared instances ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "factory, args",
+    [
+        (spin, (Axis.X, 2, 3)),
+        (spin, (Axis.Z, 1, 2)),
+        (hardy_projector, ()),
+        (hardy_projector, (3,)),
+        (mermin_A, (1,)),
+        (mermin_B, (3,)),
+        (spin_product, (Axis.Y, 3)),
+    ],
+)
+def test_named_operator_is_one_shared_instance(factory, args):
+    assert factory(*args) is factory(*args)
+
+
+def test_distinct_arguments_give_distinct_instances():
+    assert spin(Axis.X, 1, 3) is not spin(Axis.X, 2, 3)
+    assert hardy_projector(2) is not hardy_projector(3)
+    assert mermin_A(1) is not mermin_B(1)
+
+
+@pytest.mark.parametrize(
+    "factory, args, error",
+    [
+        (spin, (Axis.X, 4, 3), ValueError),
+        (spin, (Axis.X, 1, 5), ValueError),
+        (spin, (Axis.X, 1.0, 3), TypeError),  # equal to a stored key, but not an int
+        (spin, ("x", 1, 3), KeyError),
+        (hardy_projector, (4,), ValueError),
+        (mermin_A, (0,), ValueError),
+        (mermin_B, (4,), ValueError),
+        (spin_product, (Axis.Z, 5), ValueError),
+    ],
+)
+def test_named_operator_factories_raise_on_every_call(factory, args, error):
+    spin(Axis.X, 1, 3)
+    for _ in range(3):
+        with pytest.raises(error):
+            factory(*args)
+
+
+def test_named_operators_are_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(serlab.__file__))
+    code = "import sys, serlab.cli; print(len(sys.modules['serlab.spin']._SHARED))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_named_operators_decompose_once_across_verify_calls(monkeypatch, capsys):
+    monkeypatch.setattr(spin_module, "_SHARED", {})  # rebuild the named operators inside this test
+    decompositions = Counter()
+    original = hilbert._spectral_decomposition
+
+    def counting(matrix):
+        decompositions[matrix.tobytes()] += 1
+        return original(matrix)
+
+    monkeypatch.setattr(hilbert, "_spectral_decomposition", counting)
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", "--scenario", "all", "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(decompositions) >= 10
+    assert max(decompositions.values()) == 1
+
+
+def test_threads_racing_on_first_calls_share_one_instance(monkeypatch):
+    monkeypatch.setattr(spin_module, "_SHARED", {})
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def work(k):
+        barrier.wait(timeout=10)
+        ops = [spin(axis, p, 3) for axis in Axis for p in (1, 2, 3)] + [mermin_A(j) for j in (1, 2, 3)]
+        results[k] = (ops, [commutes(a, b) for a in ops for b in ops])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    ops, verdicts = results[0]
+    assert verdicts == [commutes(Observable(a.matrix), Observable(b.matrix)) for a in ops for b in ops]
+    for other_ops, other_verdicts in results[1:]:
+        assert all(a is b for a, b in zip(other_ops, ops))
+        assert other_verdicts == verdicts
