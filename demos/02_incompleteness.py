@@ -10,7 +10,7 @@ reports and prints the certified claims next to the eigenstructure facts.
 Run:  python3 demos/02_incompleteness.py
 """
 
-from serlab import PsiParams, run_epr_ghz, run_epr_psi
+from serlab import PsiParams, run_scenario
 
 
 def show(report):
@@ -38,11 +38,11 @@ def show(report):
 def main():
     # First argument: one non-local projector target plus two local spin targets,
     # available on the post-selected (+1,+1,+1) sigma_z branch.
-    show(run_epr_psi(PsiParams(0.5, 0.5)))
+    show(run_scenario("epr-psi", PsiParams(0.5, 0.5)))
 
     # Second argument: every sigma_y outcome branch works, not just one
     # post-selected branch; the targets are the three two-particle products A_j.
-    show(run_epr_ghz())
+    show(run_scenario("epr-ghz"))
 
     print("In both cases every claim certifies while the claim targets share no")
     print("common eigenstate, which is exactly what a complete assignment of")

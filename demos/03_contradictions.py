@@ -20,15 +20,14 @@ from serlab import (
     PsiParams,
     ghz_mermin_state,
     hardy_null_outcome_scan,
-    run_bell_ghz,
-    run_bell_hardy,
+    run_scenario,
     sample_counts,
     spin,
 )
 
 
 def main():
-    report = run_bell_hardy(PsiParams(0.5, 0.5))
+    report = run_scenario("bell-hardy", PsiParams(0.5, 0.5))
     print("--- psi-family contradiction ---")
     print(f"post-selection probability |a|^2/4 = {report.post_selection_probability:.6g}")
     zero = next(c for c in report.checks if c.anchor == "bell-hardy:zero-operator")
@@ -43,7 +42,7 @@ def main():
     print(f"  occurrences per state: {hits}")
     print()
 
-    report = run_bell_ghz()
+    report = run_scenario("bell-ghz")
     print("--- GHZ-Mermin contradiction ---")
     identity = next(c for c in report.checks if c.anchor == "bell-ghz:b-product-identity")
     certainty = next(c for c in report.checks if c.anchor == "bell-ghz:x-product-certainty")

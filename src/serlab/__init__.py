@@ -37,10 +37,6 @@ from .inference import (
     SerClaim,
     certify_ser,
     hardy_null_outcome_scan,
-    run_bell_ghz,
-    run_bell_hardy,
-    run_epr_ghz,
-    run_epr_psi,
     run_scenario,
     sample_scenario,
 )
@@ -105,10 +101,6 @@ __all__ = [
     "pauli",
     "psi_state",
     "random_psi_params",
-    "run_bell_ghz",
-    "run_bell_hardy",
-    "run_epr_ghz",
-    "run_epr_psi",
     "run_scenario",
     "sample_counts",
     "sample_joint",

@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .inference import SCENARIOS, ScenarioReport, run_scenario, sample_scenario
+from .inference import CERTAINTY_TOL, SCENARIO_TABLE, SCENARIOS, ScenarioReport, run_scenario, sample_scenario
 from .states import PsiParams
 
-__all__ = ["RunConfig", "cmd_verify", "cmd_sample", "main"]
+__all__ = ["RunConfig", "run_command", "main"]
 
-_PARAM_SCENARIOS = {"epr-psi", "bell-hardy"}
 _FLOAT_OPTIONS = {"--a-re", "--a-im", "--b-re", "--b-im", "--tolerance"}
 
 
@@ -32,7 +31,7 @@ class RunConfig:
     b_im: float = 0.0
     trials: int = 100_000
     seed: int = 0
-    tolerance: float = 1e-10
+    tolerance: float = CERTAINTY_TOL
     format: str = "text"
     flip_claim: int | None = None
 
@@ -202,11 +201,11 @@ def _value_text(value) -> str:
 # --- commands ----------------------------------------------------------------
 
 
-def _run_reports(config: RunConfig, sample: bool) -> list[ScenarioReport]:
+def _run_reports(command: str, config: RunConfig) -> list[ScenarioReport]:
     reports = []
     for name in config.selected():
-        params = config.psi_params() if name in _PARAM_SCENARIOS else None
-        if sample:
+        params = config.psi_params() if SCENARIO_TABLE[name].needs_params else None
+        if command == "sample":
             reports.append(sample_scenario(name, params, seed=config.seed, trials=config.trials))
         else:
             reports.append(
@@ -215,7 +214,18 @@ def _run_reports(config: RunConfig, sample: bool) -> list[ScenarioReport]:
     return reports
 
 
-def _emit_reports(reports: list[ScenarioReport], config: RunConfig, out) -> int:
+def run_command(command: str, config: RunConfig, out=None) -> int:
+    """Run ``verify`` (the analytic checks) or ``sample`` (Monte Carlo calibration) and report.
+
+    Returns the exit code: 0 when every check passes, 1 when one fails (named
+    on stderr), 2 for a parameter error.
+    """
+    try:
+        reports = _run_reports(command, config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out = out or sys.stdout
     if config.format == "json":
         payloads = [report_payload(r, config) for r in reports]
         print(dumps(payloads[0] if len(payloads) == 1 else payloads), file=out)
@@ -232,41 +242,24 @@ def _emit_reports(reports: list[ScenarioReport], config: RunConfig, out) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig, out=None) -> int:
-    """Run the selected scenario(s) analytically and report every check."""
-    try:
-        reports = _run_reports(config, sample=False)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _emit_reports(reports, config, out or sys.stdout)
-
-
-def cmd_sample(config: RunConfig, out=None) -> int:
-    """Run the scenario's Monte Carlo measurement set and check calibration."""
-    try:
-        reports = _run_reports(config, sample=True)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _emit_reports(reports, config, out or sys.stdout)
-
-
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
+    d = RunConfig()  # the one source of every default
     parser.add_argument(
         "--scenario",
         choices=list(SCENARIOS) + ["all"],
-        default="all",
-        help="which scenario to run (default: all)",
+        default=d.scenario,
+        help=f"which scenario to run (default: {d.scenario})",
     )
-    parser.add_argument("--a-re", type=float, default=0.5, help="Re(a) for the psi family (default 0.5)")
-    parser.add_argument("--a-im", type=float, default=0.0, help="Im(a) (default 0)")
-    parser.add_argument("--b-re", type=float, default=0.5, help="Re(b) (default 0.5)")
-    parser.add_argument("--b-im", type=float, default=0.0, help="Im(b) (default 0)")
-    parser.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials (default 100000)")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    parser.add_argument("--tolerance", type=float, default=1e-10, help="certainty tolerance (default 1e-10)")
-    parser.add_argument("--format", choices=["text", "json"], default="text", help="report format")
+    parser.add_argument("--a-re", type=float, default=d.a_re, help=f"Re(a) for the psi family (default {d.a_re:g})")
+    parser.add_argument("--a-im", type=float, default=d.a_im, help=f"Im(a) (default {d.a_im:g})")
+    parser.add_argument("--b-re", type=float, default=d.b_re, help=f"Re(b) (default {d.b_re:g})")
+    parser.add_argument("--b-im", type=float, default=d.b_im, help=f"Im(b) (default {d.b_im:g})")
+    parser.add_argument("--trials", type=int, default=d.trials, help=f"Monte Carlo trials (default {d.trials})")
+    parser.add_argument("--seed", type=int, default=d.seed, help=f"sampling seed (default {d.seed})")
+    parser.add_argument(
+        "--tolerance", type=float, default=d.tolerance, help=f"certainty tolerance (default {d.tolerance:g})"
+    )
+    parser.add_argument("--format", choices=["text", "json"], default=d.format, help="report format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,25 +311,15 @@ def _is_float(text: str) -> bool:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
-    config = RunConfig(
-        scenario=args.scenario,
-        a_re=args.a_re,
-        a_im=args.a_im,
-        b_re=args.b_re,
-        b_im=args.b_im,
-        trials=args.trials,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        format=args.format,
-        flip_claim=getattr(args, "flip_claim", None),
-    )
+    # sample has no --flip-claim, so that field keeps its default
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
     if config.flip_claim is not None and config.scenario == "all":
         print("error: --flip-claim requires a single --scenario", file=sys.stderr)
         return 2
     if not 0.0 <= config.tolerance < 1.0:
         print(f"error: --tolerance must be a finite number in [0, 1), got {config.tolerance}", file=sys.stderr)
         return 2
-    if any(name in _PARAM_SCENARIOS for name in config.selected()):
+    if any(SCENARIO_TABLE[name].needs_params for name in config.selected()):
         try:
             config.psi_params()
         except ValueError as exc:
@@ -345,9 +328,7 @@ def main(argv=None) -> int:
     if config.trials < 1:
         print("error: --trials must be positive", file=sys.stderr)
         return 2
-    if args.command == "verify":
-        return cmd_verify(config)
-    return cmd_sample(config)
+    return run_command(args.command, config)
 
 
 if __name__ == "__main__":

@@ -13,30 +13,36 @@ group.  :func:`certify_ser` mechanizes exactly three clauses:
 Spacelike separation is modeled as disjoint particle-index sets; no spacetime
 geometry is represented.
 
-The scenario runners assemble machine-checkable reports:
+Each scenario is one :class:`Scenario` record in :data:`SCENARIO_TABLE`,
+run analytically by :func:`run_scenario` and sampled by :func:`sample_scenario`:
 
-* ``epr-psi``    - joint SERs sigma_x(1) = -1, sigma_x(2) = -1, pi(1+2) = 1 on
+* ``epr-psi``    - joint SERs sigma_x(2) = -1, sigma_x(1) = -1, pi(1+2) = 1 on
   the psi family after post-selecting sigma_z = +1 on all three particles,
   plus the proof that the three target observables share no common eigenstate.
 * ``epr-ghz``    - joint SERs A_j = eps_j on the GHZ-Mermin state for every
   sigma_y outcome branch, plus pairwise no-common-eigenstate checks.
-* ``bell-hardy`` - joint SERs sigma_z(1) = -1, sigma_z(2) = -1, pi(1+2) = 1
-  whose direct joint measurement is impossible in every state (the projector
-  product is the zero operator).
+* ``bell-hardy`` - joint SERs sigma_z(2) = -1, sigma_z(1) = -1, pi(1+2) = 1
+  after post-selecting sigma_x(1) = sigma_x(2) = sigma_z(3) = +1, whose direct
+  joint measurement is impossible in every state (the projector product is
+  the zero operator).
 * ``bell-ghz``   - joint SERs B_j = eps_j whose inferred product is -1 in
-  every branch while B_1 B_2 B_3 is the identity, so direct measurement always
-  yields product +1.
+  every sigma_x branch while B_1 B_2 B_3 is the identity, so direct
+  measurement always yields product +1.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .hilbert import Observable, StateVector, acts_only_on, has_common_eigenstate
 from .measurement import (
     RNG_ALGORITHM,
+    SPECTRUM_MATCH_TOL,
     IncompatibleObservablesError,
     OutcomeAssignment,
     ZeroProbabilityError,
@@ -52,13 +58,15 @@ REGION_TOL = 1e-10
 OPERATOR_ZERO_TOL = 1e-12
 OPERATOR_IDENTITY_TOL = 1e-12
 VALUE_MATCH_TOL = 1e-12
+# a sampled outcome of Born probability above this is admissible, so an unseen one is listed
+ADMISSIBLE_PROBABILITY_TOL = 1e-15
+PRODUCT_MATCH_TOL = 1e-9
 Z_SCORE_LIMIT = 4.0
-
-SCENARIOS = ("epr-psi", "epr-ghz", "bell-hardy", "bell-ghz")
 
 __all__ = [
     "CERTAINTY_TOL",
     "SCENARIOS",
+    "SCENARIO_TABLE",
     "SerClaim",
     "Certification",
     "Check",
@@ -66,10 +74,6 @@ __all__ = [
     "SamplingStats",
     "ScenarioReport",
     "certify_ser",
-    "run_epr_psi",
-    "run_epr_ghz",
-    "run_bell_hardy",
-    "run_bell_ghz",
     "run_scenario",
     "sample_scenario",
     "hardy_null_outcome_scan",
@@ -192,333 +196,168 @@ class ScenarioReport:
         return None
 
 
-def _flip(claims: list[SerClaim], which: int | None) -> list[SerClaim]:
-    """Replace the predicted value of one claim by a different eigenvalue (fault injection)."""
-    if which is None:
-        return claims
-    if not 0 <= which < len(claims):
-        raise ValueError(f"flip index {which} out of range; scenario emits {len(claims)} claims")
-    claim = claims[which]
-    for value in claim.observable.eigenvalues():
-        if abs(value - claim.predicted_value) > VALUE_MATCH_TOL:
-            claims = list(claims)
-            claims[which] = replace(claim, predicted_value=value)
-            return claims
-    raise ValueError("observable has a single eigenvalue; nothing to flip to")
+@dataclass(frozen=True)
+class PostSelection:
+    """Post-selection of +1 on every measured observable of the psi-family state."""
+
+    predicted: tuple[float, float, float]  # the targets' certain values on that branch
+    weight: float  # its expected probability, in units of |a|^2
+    text: str  # the same, as the check description writes it
 
 
-def _certify_claims(state, claims, checks, anchor_prefix, tolerance):
-    certified = []
-    for claim in claims:
-        cert = certify_ser(state, claim, tolerance=tolerance)
-        certified.append((claim, cert))
-        detail = "" if cert.ok else f" [{cert.failed_clause}: {cert.detail}]"
-        checks.append(
-            Check(
-                description=f"certified SER {claim.describe()}{detail}",
-                anchor=f"{anchor_prefix}:certainty:{claim.observable.label}",
-                expected=True,
-                computed=cert.ok,
-                passed=cert.ok,
-            )
-        )
-    return certified
+@dataclass(frozen=True)
+class Scenario:
+    """One argument of the paper as data.
+
+    ``measured`` holds one observable factory per particle: claim k is
+    inferred from the outcome on particle k+1, and :func:`sample_scenario`
+    measures the same triple.  Factories, not operators, so that nothing is
+    built at import.  Without a ``post_selection`` the scenario runs on the
+    GHZ-Mermin state in all 8 sign branches, each predicted value equal to
+    its branch sign.
+    """
+
+    measured: tuple[Callable[[], Observable], ...]
+    targets: tuple[Callable[[], Observable], ...]
+    target_regions: tuple[frozenset[int], ...]
+    structure: Callable[[str, StateVector, float], list[Check]]  # (name, state, tolerance) -> checks
+    verdict: str  # "incompleteness" or "contradiction": true when every check passes
+    post_selection: PostSelection | None = None
+    product_constraint: float | None = None  # every sampled outcome triple multiplies to this
+
+    @property
+    def needs_params(self) -> bool:
+        return self.post_selection is not None
 
 
-def run_epr_psi(
-    params: PsiParams,
-    *,
-    tolerance: float = CERTAINTY_TOL,
-    flip_claim: int | None = None,
-) -> ScenarioReport:
-    """Incompleteness argument on the psi family.
+def _no_common_eigenstate(ops: list[Observable], anchor: str) -> Check:
+    shared = has_common_eigenstate(ops)
+    labels = ", ".join(op.label for op in ops)
+    return Check(f"no common eigenstate of {{{labels}}}", anchor, False, shared, shared is False)
 
-    Post-select sigma_z = +1 on all three particles, certify the three joint
-    SER claims, and verify that the claim targets {sigma_x(1), sigma_x(2),
-    pi(1+2)} share no common eigenstate.  Also records the pair-state caveat:
-    on the two-particle Hardy state alone, the pi value rests on the
+
+def _targets_share_no_eigenstate(name: str, state: StateVector, tolerance: float) -> list[Check]:
+    """No common eigenstate of the three psi targets, plus the pair-state caveat.
+
+    On the two-particle Hardy state alone, the pi value rests on the
     preparation itself, whose region overlaps the target region, so the claim
     must fail certification there.
     """
-    state = psi_state(params)
-    sz = {p: spin(Axis.Z, p, 3) for p in (1, 2, 3)}
-    sx = {p: spin(Axis.X, p, 3) for p in (1, 2)}
-    pi3 = hardy_projector(3)
-
-    report = ScenarioReport(scenario="epr-psi", parameters=params)
-
-    post = OutcomeAssignment([(sz[1], +1.0), (sz[2], +1.0), (sz[3], +1.0)])
-    p_post = outcome_probability(state, post)
-    expected_post = abs(params.a) ** 2
-    report.post_selection = post
-    report.post_selection_probability = p_post
-    report.checks.append(
+    caveat_claim = SerClaim(hardy_projector(), 1.0, OutcomeAssignment((), dim=4), {1, 2}, {1, 2})
+    caveat = certify_ser(hardy_state(), caveat_claim, tolerance=tolerance).failed_clause or "certified"
+    targets = [spin(Axis.X, 1, 3), spin(Axis.X, 2, 3), hardy_projector(3)]
+    return [
+        _no_common_eigenstate(targets, f"{name}:no-common-eigenstate"),
         Check(
-            description="post-selection probability P(sigma_z(1)=+1, sigma_z(2)=+1, sigma_z(3)=+1) = |a|^2",
-            anchor="epr-psi:postselect",
-            expected=expected_post,
-            computed=p_post,
-            passed=abs(p_post - expected_post) <= VALUE_MATCH_TOL,
-        )
-    )
-
-    claims = [
-        SerClaim(sx[2], -1.0, OutcomeAssignment([(sz[1], +1.0)]), frozenset({1}), frozenset({2})),
-        SerClaim(sx[1], -1.0, OutcomeAssignment([(sz[2], +1.0)]), frozenset({2}), frozenset({1})),
-        SerClaim(pi3, 1.0, OutcomeAssignment([(sz[3], +1.0)]), frozenset({3}), frozenset({1, 2})),
-    ]
-    claims = _flip(claims, flip_claim)
-    certified = _certify_claims(state, claims, report.checks, "epr-psi", tolerance)
-    report.certified_claims = certified
-
-    shared = has_common_eigenstate([sx[1], sx[2], pi3])
-    report.checks.append(
-        Check(
-            description="no common eigenstate of {sigma_x(1), sigma_x(2), pi(1+2)}",
-            anchor="epr-psi:no-common-eigenstate",
-            expected=False,
-            computed=shared,
-            passed=shared is False,
-        )
-    )
-
-    caveat_claim = SerClaim(
-        hardy_projector(),
-        1.0,
-        OutcomeAssignment((), dim=4),
-        inferring_region=frozenset({1, 2}),
-        target_region=frozenset({1, 2}),
-    )
-    caveat = certify_ser(hardy_state(), caveat_claim, tolerance=tolerance)
-    report.checks.append(
-        Check(
-            description="pair-state caveat: pi(1+2)=1 on the Hardy pair alone is not certifiable "
+            "pair-state caveat: pi(1+2)=1 on the Hardy pair alone is not certifiable "
             "(the preparing region overlaps the target region)",
-            anchor="epr-psi:pair-state-caveat",
-            expected="region-overlap",
-            computed=caveat.failed_clause or "certified",
-            passed=caveat.failed_clause == "region-overlap",
-        )
-    )
-
-    # every check above is a premise of the argument, so a failing one (even a
-    # NaN post-selection value) voids the verdict
-    report.incompleteness_verdict = report.passed()
-    return report
-
-
-def run_epr_ghz(
-    *,
-    tolerance: float = CERTAINTY_TOL,
-    flip_claim: int | None = None,
-) -> ScenarioReport:
-    """Incompleteness argument on the GHZ-Mermin state.
-
-    For each of the 8 sigma_y outcome branches (eps_1, eps_2, eps_3), certify
-    the three SER claims A_j = eps_j; then verify that no pair of the A_j has
-    a common eigenstate.  The verdict requires every branch to certify, since
-    the argument covers whatever results the measurements produce.
-    """
-    state = ghz_mermin_state()
-    sy = {p: spin(Axis.Y, p, 3) for p in (1, 2, 3)}
-    a_ops = {j: mermin_A(j) for j in (1, 2, 3)}
-
-    report = ScenarioReport(scenario="epr-ghz", parameters=None)
-
-    branches = [(e1, e2, e3) for e1 in (+1.0, -1.0) for e2 in (+1.0, -1.0) for e3 in (+1.0, -1.0)]
-    claims: list[SerClaim] = []
-    for eps in branches:
-        for j in (1, 2, 3):
-            others = frozenset({1, 2, 3} - {j})
-            claims.append(
-                SerClaim(a_ops[j], eps[j - 1], OutcomeAssignment([(sy[j], eps[j - 1])]), frozenset({j}), others)
-            )
-    claims = _flip(claims, flip_claim)
-
-    certified: list[tuple[SerClaim, Certification]] = []
-    for b, eps in enumerate(branches):
-        branch_claims = claims[3 * b : 3 * b + 3]
-        branch_ok = True
-        for claim in branch_claims:
-            cert = certify_ser(state, claim, tolerance=tolerance)
-            certified.append((claim, cert))
-            branch_ok = branch_ok and cert.ok
-        label = ",".join(f"{e:+g}" for e in eps)
-        report.checks.append(
-            Check(
-                description=f"branch ({label}): SERs A_1={eps[0]:+g}, A_2={eps[1]:+g}, A_3={eps[2]:+g} all certified",
-                anchor=f"epr-ghz:branch:{label}",
-                expected=True,
-                computed=branch_ok,
-                passed=branch_ok,
-            )
-        )
-    report.certified_claims = certified
-
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i >= j:
-                continue
-            shared = has_common_eigenstate([a_ops[i], a_ops[j]])
-            report.checks.append(
-                Check(
-                    description=f"no common eigenstate of {{A_{i}, A_{j}}}",
-                    anchor=f"epr-ghz:no-common-eigenstate:A_{i},A_{j}",
-                    expected=False,
-                    computed=shared,
-                    passed=shared is False,
-                )
-            )
-
-    # each branch check ANDs its three certifications, so the report holds them all
-    report.incompleteness_verdict = report.passed()
-    return report
-
-
-def run_bell_hardy(
-    params: PsiParams,
-    *,
-    tolerance: float = CERTAINTY_TOL,
-    flip_claim: int | None = None,
-) -> ScenarioReport:
-    """Contradiction on the psi family: jointly inferred values that no state can show.
-
-    Post-select sigma_x(1)=+1, sigma_x(2)=+1, sigma_z(3)=+1 (probability
-    |a|^2/4), certify the SERs sigma_z(2)=-1, sigma_z(1)=-1, pi(1+2)=1, and
-    verify that the product of the three corresponding eigenprojectors is the
-    zero operator, so the inferred triple can never be obtained in a joint
-    measurement of the three compatible observables in any state.
-    """
-    state = psi_state(params)
-    sz = {p: spin(Axis.Z, p, 3) for p in (1, 2, 3)}
-    sx = {p: spin(Axis.X, p, 3) for p in (1, 2)}
-    pi3 = hardy_projector(3)
-
-    report = ScenarioReport(scenario="bell-hardy", parameters=params)
-
-    post = OutcomeAssignment([(sx[1], +1.0), (sx[2], +1.0), (sz[3], +1.0)])
-    p_post = outcome_probability(state, post)
-    expected_post = abs(params.a) ** 2 / 4.0
-    report.post_selection = post
-    report.post_selection_probability = p_post
-    report.checks.append(
-        Check(
-            description="post-selection probability P(sigma_x(1)=+1, sigma_x(2)=+1, sigma_z(3)=+1) = |a|^2/4",
-            anchor="bell-hardy:postselect",
-            expected=expected_post,
-            computed=p_post,
-            passed=abs(p_post - expected_post) <= VALUE_MATCH_TOL,
-        )
-    )
-
-    claims = [
-        SerClaim(sz[2], -1.0, OutcomeAssignment([(sx[1], +1.0)]), frozenset({1}), frozenset({2})),
-        SerClaim(sz[1], -1.0, OutcomeAssignment([(sx[2], +1.0)]), frozenset({2}), frozenset({1})),
-        SerClaim(pi3, 1.0, OutcomeAssignment([(sz[3], +1.0)]), frozenset({3}), frozenset({1, 2})),
+            f"{name}:pair-state-caveat", "region-overlap", caveat, caveat == "region-overlap",
+        ),
     ]
-    claims = _flip(claims, flip_claim)
-    certified = _certify_claims(state, claims, report.checks, "bell-hardy", tolerance)
-    report.certified_claims = certified
 
-    product = (
-        sz[1].spectral().projector_for(-1.0)
-        @ sz[2].spectral().projector_for(-1.0)
-        @ pi3.spectral().projector_for(1.0)
-    )
-    product_norm = float(np.max(np.abs(product)))
-    report.checks.append(
+
+def _pairs_share_no_eigenstate(name: str, state: StateVector, tolerance: float) -> list[Check]:
+    pairs = itertools.combinations([mermin_A(j) for j in (1, 2, 3)], 2)
+    return [_no_common_eigenstate([a, b], f"{name}:no-common-eigenstate:{a.label},{b.label}") for a, b in pairs]
+
+
+def _zero_operator(name: str, state: StateVector, tolerance: float) -> list[Check]:
+    triple = OutcomeAssignment([(spin(Axis.Z, 1, 3), -1.0), (spin(Axis.Z, 2, 3), -1.0), (hardy_projector(3), 1.0)])
+    norm = float(np.max(np.abs(triple.joint_projector())))
+    return [
         Check(
-            description="projector product P(sigma_z(1)=-1) P(sigma_z(2)=-1) P(pi(1+2)=1) is the zero operator "
+            "projector product P(sigma_z(1)=-1) P(sigma_z(2)=-1) P(pi(1+2)=1) is the zero operator "
             "(the inferred triple has probability 0 in every state)",
-            anchor="bell-hardy:zero-operator",
-            expected=0.0,
-            computed=product_norm,
-            passed=product_norm < OPERATOR_ZERO_TOL,
+            f"{name}:zero-operator", 0.0, norm, norm < OPERATOR_ZERO_TOL,
         )
-    )
-
-    # every check above is a premise of the argument, so a failing one voids the verdict
-    report.contradiction_verdict = report.passed()
-    return report
+    ]
 
 
-def run_bell_ghz(
-    *,
-    tolerance: float = CERTAINTY_TOL,
-    flip_claim: int | None = None,
-) -> ScenarioReport:
-    """Contradiction on the GHZ-Mermin state.
-
-    The product of the sigma_x components is -1 with certainty, so in every
-    sigma_x branch the inferred values B_j = eps_j multiply to -1; but
-    B_1 B_2 B_3 is the identity, so directly measured B values always multiply
-    to +1.
-    """
-    state = ghz_mermin_state()
-    sx = {p: spin(Axis.X, p, 3) for p in (1, 2, 3)}
-    b_ops = {j: mermin_B(j) for j in (1, 2, 3)}
-
-    report = ScenarioReport(scenario="bell-ghz", parameters=None)
-
-    branches = [(e1, e2, e3) for e1 in (+1.0, -1.0) for e2 in (+1.0, -1.0) for e3 in (+1.0, -1.0)]
-    claims: list[SerClaim] = []
-    for eps in branches:
-        for j in (1, 2, 3):
-            others = frozenset({1, 2, 3} - {j})
-            claims.append(
-                SerClaim(b_ops[j], eps[j - 1], OutcomeAssignment([(sx[j], eps[j - 1])]), frozenset({j}), others)
-            )
-    claims = _flip(claims, flip_claim)
-
-    certified: list[tuple[SerClaim, Certification]] = []
-    for b, eps in enumerate(branches):
-        branch_claims = claims[3 * b : 3 * b + 3]
-        branch_ok = True
-        for claim in branch_claims:
-            cert = certify_ser(state, claim, tolerance=tolerance)
-            certified.append((claim, cert))
-            branch_ok = branch_ok and cert.ok
-        label = ",".join(f"{e:+g}" for e in eps)
-        report.checks.append(
-            Check(
-                description=f"branch ({label}): SERs B_1={eps[0]:+g}, B_2={eps[1]:+g}, B_3={eps[2]:+g} all certified",
-                anchor=f"bell-ghz:branch:{label}",
-                expected=True,
-                computed=branch_ok,
-                passed=branch_ok,
-            )
-        )
-    report.certified_claims = certified
-
-    xxx = spin_product(Axis.X, 3)
-    p_minus = outcome_probability(state, OutcomeAssignment([(xxx, -1.0)]))
-    report.checks.append(
-        Check(
-            description="P(sigma_x(1) sigma_x(2) sigma_x(3) = -1) = 1, so the inferred product "
-            "eps_1 eps_2 eps_3 is -1 in every branch",
-            anchor="bell-ghz:x-product-certainty",
-            expected=1.0,
-            computed=p_minus,
-            passed=abs(p_minus - 1.0) <= VALUE_MATCH_TOL,
-        )
-    )
-
-    b_product = b_ops[1].matrix @ b_ops[2].matrix @ b_ops[3].matrix
+def _x_product_against_identity(name: str, state: StateVector, tolerance: float) -> list[Check]:
+    p_minus = outcome_probability(state, OutcomeAssignment([(spin_product(Axis.X, 3), -1.0)]))
+    b_product = mermin_B(1).matrix @ mermin_B(2).matrix @ mermin_B(3).matrix
     identity_dev = float(np.max(np.abs(b_product - np.eye(8))))
-    report.checks.append(
+    return [
         Check(
-            description="B_1 B_2 B_3 is the identity operator, so directly measured B values "
-            "multiply to +1 in every state",
-            anchor="bell-ghz:b-product-identity",
-            expected=0.0,
-            computed=identity_dev,
-            passed=identity_dev < OPERATOR_IDENTITY_TOL,
-        )
-    )
+            "P(sigma_x(1) sigma_x(2) sigma_x(3) = -1) = 1, so the inferred product "
+            "eps_1 eps_2 eps_3 is -1 in every branch",
+            f"{name}:x-product-certainty", 1.0, p_minus, abs(p_minus - 1.0) <= VALUE_MATCH_TOL,
+        ),
+        Check(
+            "B_1 B_2 B_3 is the identity operator, so directly measured B values multiply to +1 in every state",
+            f"{name}:b-product-identity", 0.0, identity_dev, identity_dev < OPERATOR_IDENTITY_TOL,
+        ),
+    ]
 
-    # each branch check ANDs its three certifications, so the report holds them all
-    report.contradiction_verdict = report.passed()
-    return report
+
+def _spins(*axes: Axis) -> tuple[Callable[[], Observable], ...]:
+    """Factories of one spin component per particle, particle 1 first."""
+    return tuple(partial(spin, axis, particle, 3) for particle, axis in enumerate(axes, 1))
+
+
+_PSI_TARGET_REGIONS = (frozenset({2}), frozenset({1}), frozenset({1, 2}))
+_GHZ_TARGET_REGIONS = (frozenset({2, 3}), frozenset({1, 3}), frozenset({1, 2}))
+
+SCENARIO_TABLE: dict[str, Scenario] = {
+    "epr-psi": Scenario(
+        measured=_spins(Axis.Z, Axis.Z, Axis.Z),
+        targets=(partial(spin, Axis.X, 2, 3), partial(spin, Axis.X, 1, 3), partial(hardy_projector, 3)),
+        target_regions=_PSI_TARGET_REGIONS,
+        structure=_targets_share_no_eigenstate,
+        verdict="incompleteness",
+        post_selection=PostSelection((-1.0, -1.0, 1.0), 1.0, "|a|^2"),
+    ),
+    "epr-ghz": Scenario(
+        measured=_spins(Axis.Y, Axis.Y, Axis.Y),
+        targets=tuple(partial(mermin_A, j) for j in (1, 2, 3)),
+        target_regions=_GHZ_TARGET_REGIONS,
+        structure=_pairs_share_no_eigenstate,
+        verdict="incompleteness",
+    ),
+    "bell-hardy": Scenario(
+        measured=_spins(Axis.X, Axis.X, Axis.Z),
+        targets=(partial(spin, Axis.Z, 2, 3), partial(spin, Axis.Z, 1, 3), partial(hardy_projector, 3)),
+        target_regions=_PSI_TARGET_REGIONS,
+        structure=_zero_operator,
+        verdict="contradiction",
+        post_selection=PostSelection((-1.0, -1.0, 1.0), 0.25, "|a|^2/4"),
+    ),
+    "bell-ghz": Scenario(
+        measured=_spins(Axis.X, Axis.X, Axis.X),
+        targets=tuple(partial(mermin_B, j) for j in (1, 2, 3)),
+        target_regions=_GHZ_TARGET_REGIONS,
+        structure=_x_product_against_identity,
+        verdict="contradiction",
+        product_constraint=-1.0,
+    ),
+}
+
+SCENARIOS = tuple(SCENARIO_TABLE)
+
+_SIGN_BRANCHES = list(itertools.product((+1.0, -1.0), repeat=3))  # (+1,+1,+1), (+1,+1,-1), ...
+
+
+def _prepare(scenario: str, params: PsiParams | None) -> tuple[Scenario, StateVector, PsiParams | None]:
+    """The scenario's record, its state, and the parameters it uses (None off the psi family)."""
+    spec = SCENARIO_TABLE.get(scenario)
+    if spec is None:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    if not spec.needs_params:
+        return spec, ghz_mermin_state(), None
+    if params is None:
+        raise ValueError(f"scenario {scenario!r} needs psi-family parameters (a, b)")
+    return spec, psi_state(params), params
+
+
+def _flip(claims: list[SerClaim], which: int) -> None:
+    """Replace the predicted value of one claim by a different eigenvalue (fault injection)."""
+    if not 0 <= which < len(claims):
+        raise ValueError(f"flip index {which} out of range; scenario emits {len(claims)} claims")
+    claim = claims[which]
+    others = [v for v in claim.observable.eigenvalues() if abs(v - claim.predicted_value) > VALUE_MATCH_TOL]
+    if not others:
+        raise ValueError("observable has a single eigenvalue; nothing to flip to")
+    claims[which] = replace(claim, predicted_value=others[0])
 
 
 def run_scenario(
@@ -528,33 +367,61 @@ def run_scenario(
     tolerance: float = CERTAINTY_TOL,
     flip_claim: int | None = None,
 ) -> ScenarioReport:
-    """Dispatch an analytic scenario run by name."""
-    if scenario in ("epr-psi", "bell-hardy") and params is None:
-        raise ValueError(f"scenario {scenario!r} needs psi-family parameters (a, b)")
-    if scenario == "epr-psi":
-        return run_epr_psi(params, tolerance=tolerance, flip_claim=flip_claim)
-    if scenario == "epr-ghz":
-        return run_epr_ghz(tolerance=tolerance, flip_claim=flip_claim)
-    if scenario == "bell-hardy":
-        return run_bell_hardy(params, tolerance=tolerance, flip_claim=flip_claim)
-    if scenario == "bell-ghz":
-        return run_bell_ghz(tolerance=tolerance, flip_claim=flip_claim)
-    raise ValueError(f"unknown scenario {scenario!r}")
+    """Run one argument analytically: certify its claims, then check its structure.
 
+    A post-selected scenario checks the post-selection probability and gets
+    one check per claim; a GHZ scenario gets one check per sign branch, which
+    ANDs the branch's three certifications, since the argument covers
+    whatever results the measurements produce.  Every check is a premise of
+    the argument, so the verdict is ``report.passed()``: a failing check,
+    even a NaN post-selection value, voids it.
+    """
+    spec, state, params = _prepare(scenario, params)
+    measured = [make() for make in spec.measured]
+    targets = [make() for make in spec.targets]
+    report = ScenarioReport(scenario=scenario, parameters=params)
 
-def _scenario_measurement_plan(scenario: str, params: PsiParams | None):
-    """State, measured observables, and per-trial product constraint for sampling."""
-    if scenario in ("epr-psi", "bell-hardy") and params is None:
-        raise ValueError(f"scenario {scenario!r} needs psi-family parameters (a, b)")
-    if scenario == "epr-psi":
-        return psi_state(params), [spin(Axis.Z, p, 3) for p in (1, 2, 3)], None
-    if scenario == "epr-ghz":
-        return ghz_mermin_state(), [spin(Axis.Y, p, 3) for p in (1, 2, 3)], None
-    if scenario == "bell-hardy":
-        return psi_state(params), [spin(Axis.X, 1, 3), spin(Axis.X, 2, 3), spin(Axis.Z, 3, 3)], None
-    if scenario == "bell-ghz":
-        return ghz_mermin_state(), [spin(Axis.X, p, 3) for p in (1, 2, 3)], -1.0
-    raise ValueError(f"unknown scenario {scenario!r}")
+    post = spec.post_selection
+    if post is not None:
+        report.post_selection = OutcomeAssignment([(obs, +1.0) for obs in measured])
+        p_post = outcome_probability(state, report.post_selection)
+        expected_post = post.weight * abs(params.a) ** 2
+        report.post_selection_probability = p_post
+        report.checks.append(
+            Check(
+                f"post-selection probability P({report.post_selection.describe()}) = {post.text}",
+                f"{scenario}:postselect", expected_post, p_post, abs(p_post - expected_post) <= VALUE_MATCH_TOL,
+            )
+        )
+        branches = [((+1.0, +1.0, +1.0), post.predicted)]  # (measured outcomes, predicted values)
+    else:
+        branches = [(eps, eps) for eps in _SIGN_BRANCHES]
+
+    claims = [
+        SerClaim(targets[k], values[k], OutcomeAssignment([(measured[k], outcomes[k])]), {k + 1}, region)
+        for outcomes, values in branches
+        for k, region in enumerate(spec.target_regions)
+    ]
+    if flip_claim is not None:
+        _flip(claims, flip_claim)
+    report.certified_claims = [(claim, certify_ser(state, claim, tolerance=tolerance)) for claim in claims]
+
+    if post is not None:
+        for claim, cert in report.certified_claims:
+            detail = "" if cert.ok else f" [{cert.failed_clause}: {cert.detail}]"
+            anchor = f"{scenario}:certainty:{claim.observable.label}"
+            report.checks.append(Check(f"certified SER {claim.describe()}{detail}", anchor, True, cert.ok, cert.ok))
+    else:
+        for b, eps in enumerate(_SIGN_BRANCHES):
+            ok = all(cert.ok for _, cert in report.certified_claims[3 * b : 3 * b + 3])
+            label = ",".join(f"{e:+g}" for e in eps)
+            values = ", ".join(f"{target.label}={e:+g}" for target, e in zip(targets, eps))
+            description = f"branch ({label}): SERs {values} all certified"
+            report.checks.append(Check(description, f"{scenario}:branch:{label}", True, ok, ok))
+
+    report.checks.extend(spec.structure(scenario, state, tolerance))
+    setattr(report, f"{spec.verdict}_verdict", report.passed())
+    return report
 
 
 def sample_scenario(
@@ -566,28 +433,22 @@ def sample_scenario(
 ) -> ScenarioReport:
     """Monte Carlo companion to a scenario: sampled joint frequencies vs Born values.
 
-    Emits one z-score check per outcome tuple with analytic probability in
-    (0, 1), a zero-count hard check per impossible tuple, and, when the
-    scenario fixes the product of outcomes, a per-trial product constraint
-    check.  Outcome tuples that are possible but unseen are listed in the
-    sampling stats.
+    Samples the scenario's measured triple.  Emits one z-score check per
+    outcome tuple with analytic probability in (0, 1), a zero-count hard
+    check per impossible tuple, and, when the scenario fixes the product of
+    outcomes, a per-trial product constraint check.  Outcome tuples that are
+    possible but unseen are listed in the sampling stats.
     """
-    state, observables, product_constraint = _scenario_measurement_plan(scenario, params)
+    spec, state, params = _prepare(scenario, params)
+    observables = [make() for make in spec.measured]
+    product_constraint = spec.product_constraint
     report = ScenarioReport(scenario=scenario, parameters=params)
 
     counts = sample_counts(state, observables, seed=seed, trials=trials)
-    spectra = [o.eigenvalues() for o in observables]
-    labels = tuple(o.label or "O" for o in observables)
-
     entries: list[FrequencyEntry] = []
     unobserved: list[tuple[float, ...]] = []
-
-    combos: list[tuple[float, ...]] = [()]
-    for values in spectra:
-        combos = [c + (v,) for c in combos for v in values]
-
     product_violations = 0
-    for tup in combos:
+    for tup in itertools.product(*(o.eigenvalues() for o in observables)):
         assignment = OutcomeAssignment(list(zip(observables, tup)))
         p = outcome_probability(state, assignment)
         count = counts.get(tup, 0)
@@ -618,9 +479,9 @@ def sample_scenario(
                     passed=count == expected_count,
                 )
             )
-        if p > 1e-15 and count == 0:
+        if p > ADMISSIBLE_PROBABILITY_TOL and count == 0:
             unobserved.append(tup)
-        if product_constraint is not None and abs(float(np.prod(tup)) - product_constraint) > 1e-9:
+        if product_constraint is not None and abs(float(np.prod(tup)) - product_constraint) > PRODUCT_MATCH_TOL:
             product_violations += count
 
     if product_constraint is not None:
@@ -638,7 +499,7 @@ def sample_scenario(
         trials=trials,
         seed=seed,
         algorithm=RNG_ALGORITHM,
-        observable_labels=labels,
+        observable_labels=tuple(o.label or "O" for o in observables),
         entries=entries,
         unobserved_admissible=unobserved,
     )
@@ -662,7 +523,7 @@ def hardy_null_outcome_scan(seed: int = 0, n_states: int = 20, trials: int = 100
         hit = sum(
             count
             for outcome, count in counts.items()
-            if all(abs(o - t) <= 1e-8 for o, t in zip(outcome, target))
+            if all(abs(o - t) <= SPECTRUM_MATCH_TOL for o, t in zip(outcome, target))
         )
         hits.append(hit)
     return hits

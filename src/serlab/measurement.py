@@ -14,6 +14,7 @@ earlier trials unchanged.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,12 +91,7 @@ class OutcomeAssignment:
                 evs = np.asarray(obs.eigenvalues())
                 if float(np.min(np.abs(evs - value))) > SPECTRUM_MATCH_TOL:
                     raise ValueError(f"{value} is not in the spectrum of {_label(obs)}")
-            for i in range(len(pairs)):
-                for j in range(i + 1, len(pairs)):
-                    if not commutes(pairs[i][0], pairs[j][0]):
-                        raise IncompatibleObservablesError(
-                            f"{_label(pairs[i][0])} and {_label(pairs[j][0])} do not commute"
-                        )
+            _check_commuting([obs for obs, _ in pairs])
         elif dim is None:
             raise ValueError("an empty assignment needs an explicit dim")
         self._pairs = pairs
@@ -188,6 +184,13 @@ class MeasurementRecord:
     post_state: StateVector
 
 
+def _check_commuting(obs: list[Observable]) -> None:
+    """Raise IncompatibleObservablesError on the first pair that does not commute."""
+    for a, b in itertools.combinations(obs, 2):
+        if not commutes(a, b):
+            raise IncompatibleObservablesError(f"{_label(a)} and {_label(b)} do not commute")
+
+
 def _require_commuting(observables) -> list[Observable]:
     obs = list(observables)
     if not obs:
@@ -195,10 +198,7 @@ def _require_commuting(observables) -> list[Observable]:
     dim = obs[0].dim
     if any(o.dim != dim for o in obs):
         raise ValueError("all observables must act on the same space")
-    for i in range(len(obs)):
-        for j in range(i + 1, len(obs)):
-            if not commutes(obs[i], obs[j]):
-                raise IncompatibleObservablesError(f"{_label(obs[i])} and {_label(obs[j])} do not commute")
+    _check_commuting(obs)
     return obs
 
 

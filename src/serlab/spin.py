@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from functools import reduce
 
@@ -63,15 +64,23 @@ def embed(op: Observable, particle: int, n_particles: int) -> Observable:
 
 
 # The named operators below are shared: each factory returns one instance per
-# argument tuple, built on its first call.  Keys pair every argument with its
-# type, since True, 1 and 1.0 hash alike but do not build alike; arguments
-# that make a build raise are never stored, so they raise on every call.
-# setdefault hands threads that race on a first call the same instance.
+# argument tuple, built on its first call.  Integer arguments are normalised
+# with operator.index first, so a numpy integer finds the int's instance and
+# a bool or float, which hash like an int but would write "True" or "1.0"
+# into the label, raises TypeError.  Arguments that make a build raise are
+# never stored, so they raise on every call.  setdefault hands threads that
+# race on a first call the same instance.
 _SHARED: dict[tuple, Observable] = {}
 
 
+def _index(value) -> int:
+    if isinstance(value, bool):
+        raise TypeError(f"an index must be an int, not bool ({value!r})")
+    return operator.index(value)
+
+
 def _shared(build, *args) -> Observable:
-    key = (build, *((type(arg), arg) for arg in args))
+    key = (build, *args)
     op = _SHARED.get(key)
     if op is None:
         op = _SHARED.setdefault(key, build(*args))
@@ -84,7 +93,7 @@ def _embedded_pauli(axis: Axis, particle: int, n_particles: int) -> Observable:
 
 def spin(axis: Axis, particle: int, n_particles: int) -> Observable:
     """Pauli component of one particle embedded in the joint space."""
-    return _shared(_embedded_pauli, axis, particle, n_particles)
+    return _shared(_embedded_pauli, axis, _index(particle), _index(n_particles))
 
 
 def hardy_projector(n_particles: int = 2) -> Observable:
@@ -95,6 +104,7 @@ def hardy_projector(n_particles: int = 2) -> Observable:
     (identity on particle 3).  Spectrum: eigenvalue 0 with multiplicity 1,
     eigenvalue 1 with multiplicity 3 (times 2 when embedded).
     """
+    n_particles = _index(n_particles)
     if n_particles not in (2, 3):
         raise ValueError(f"supported particle counts are 2 and 3, got {n_particles}")
     return _shared(_hardy_projector, n_particles)
@@ -124,6 +134,7 @@ def mermin_A(j: int) -> Observable:
     A_3 = sigma_x(1) sigma_y(2); each has spectrum {-1, +1} with
     multiplicity 4 on the three-particle space.
     """
+    j = _index(j)
     if j not in (1, 2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {j}")
     return _shared(_three_particle_product, _A_FACTORS[j], f"A_{j}")
@@ -136,6 +147,7 @@ def mermin_B(j: int) -> Observable:
     B_3 = sigma_y(1) sigma_y(2); the three pairwise commute and their
     product is the identity.
     """
+    j = _index(j)
     if j not in (1, 2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {j}")
     return _shared(_three_particle_product, _B_FACTORS[j], f"B_{j}")
@@ -143,6 +155,7 @@ def mermin_B(j: int) -> Observable:
 
 def spin_product(axis: Axis, n_particles: int = 3) -> Observable:
     """Product of the same Pauli component on every particle."""
+    n_particles = _index(n_particles)
     if not 2 <= n_particles <= 4:
         raise ValueError(f"particle count must be in 2..4, got {n_particles}")
     return _shared(_spin_product, axis, n_particles)

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from serlab.cli import RunConfig, cmd_sample, cmd_verify
+from serlab.cli import RunConfig, run_command
 from serlab.hilbert import Observable, StateVector, has_common_eigenstate
 from serlab.inference import certify_ser, hardy_null_outcome_scan, run_scenario
 from serlab.measurement import OutcomeAssignment, conditional_probability, outcome_probability, sample_counts
@@ -21,6 +21,7 @@ from oracles import joint_probability, random_state, random_unitary
 
 DEFAULT = PsiParams(0.5, 0.5)
 N_DRAWS = 100
+FLIP_TOLERANCES = (0.0, 1e-10, 0.5, 0.999)
 DRAW_SEED = 20240914
 
 
@@ -131,7 +132,7 @@ def test_criterion_6_sampling_calibration():
     ]:
         out = io.StringIO()
         config = RunConfig(scenario=scenario, trials=100_000, seed=17, format="json")
-        code = cmd_sample(config, out=out)
+        code = run_command("sample", config, out=out)
         ok = ok and code == 0
         payload = json.loads(out.getvalue())
         entry = next(
@@ -162,15 +163,15 @@ def test_criterion_7_oracle_equivalence():
 
 def test_criterion_8_determinism():
     ok = True
-    for runner, kwargs in [
-        (cmd_verify, dict(scenario="epr-psi", format="json", seed=23)),
-        (cmd_verify, dict(scenario="bell-ghz", format="json", seed=23)),
-        (cmd_sample, dict(scenario="bell-hardy", format="json", seed=23, trials=30_000)),
-        (cmd_sample, dict(scenario="epr-ghz", format="json", seed=23, trials=30_000)),
+    for command, kwargs in [
+        ("verify", dict(scenario="epr-psi", format="json", seed=23)),
+        ("verify", dict(scenario="bell-ghz", format="json", seed=23)),
+        ("sample", dict(scenario="bell-hardy", format="json", seed=23, trials=30_000)),
+        ("sample", dict(scenario="epr-ghz", format="json", seed=23, trials=30_000)),
     ]:
         first, second = io.StringIO(), io.StringIO()
-        code1 = runner(RunConfig(**kwargs), out=first)
-        code2 = runner(RunConfig(**kwargs), out=second)
+        code1 = run_command(command, RunConfig(**kwargs), out=first)
+        code2 = run_command(command, RunConfig(**kwargs), out=second)
         ok = ok and code1 == code2 == 0
         ok = ok and first.getvalue() == second.getvalue()
         ok = ok and first.getvalue().endswith("\n")
@@ -182,16 +183,21 @@ def test_criterion_9_mutation_sensitivity():
     scenario_claims = {"epr-psi": 3, "epr-ghz": 24, "bell-hardy": 3, "bell-ghz": 24}
     psi_states = {"epr-psi": psi_state(DEFAULT), "bell-hardy": psi_state(DEFAULT)}
     ghz = ghz_mermin_state()
-    for scenario, n_claims in scenario_claims.items():
-        params = DEFAULT if scenario in ("epr-psi", "bell-hardy") else None
-        state = psi_states.get(scenario, ghz)
-        for k in range(n_claims):
-            report = run_scenario(scenario, params, flip_claim=k)
-            flipped_claim, flipped_cert = report.certified_claims[k]
-            ok = ok and not flipped_cert
-            ok = ok and not certify_ser(state, flipped_claim)
-            out = io.StringIO()
-            config = RunConfig(scenario=scenario, format="json", flip_claim=k)
-            with contextlib.redirect_stderr(io.StringIO()):
-                ok = ok and cmd_verify(config, out=out) == 1
-    _verdict(9, ok, "every single-claim flip fails certification and makes verify exit 1")
+    for tolerance in FLIP_TOLERANCES:
+        for scenario, n_claims in scenario_claims.items():
+            params = DEFAULT if scenario in ("epr-psi", "bell-hardy") else None
+            state = psi_states.get(scenario, ghz)
+            for k in range(n_claims):
+                report = run_scenario(scenario, params, tolerance=tolerance, flip_claim=k)
+                flipped_claim, flipped_cert = report.certified_claims[k]
+                ok = ok and not flipped_cert
+                ok = ok and not certify_ser(state, flipped_claim, tolerance=tolerance)
+                out = io.StringIO()
+                config = RunConfig(scenario=scenario, format="json", tolerance=tolerance, flip_claim=k)
+                with contextlib.redirect_stderr(io.StringIO()):
+                    ok = ok and run_command("verify", config, out=out) == 1
+    _verdict(
+        9,
+        ok,
+        f"every single-claim flip fails certification and makes verify exit 1 (tolerances {FLIP_TOLERANCES})",
+    )

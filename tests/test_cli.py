@@ -2,10 +2,11 @@
 
 import io
 import json
+import math
 
 import pytest
 
-from serlab.cli import RunConfig, cmd_sample, cmd_verify, dumps, main
+from serlab.cli import RunConfig, dumps, main, run_command
 
 CHECK_FIELDS = {"description", "anchor", "expected", "computed", "pass"}
 TOP_FIELDS = {"scenario", "parameters", "seed", "checks", "sampling", "verdicts"}
@@ -13,13 +14,13 @@ TOP_FIELDS = {"scenario", "parameters", "seed", "checks", "sampling", "verdicts"
 
 def run_verify(**kwargs):
     out = io.StringIO()
-    code = cmd_verify(RunConfig(**kwargs), out=out)
+    code = run_command("verify", RunConfig(**kwargs), out=out)
     return code, out.getvalue()
 
 
 def run_sample(**kwargs):
     out = io.StringIO()
-    code = cmd_sample(RunConfig(**kwargs), out=out)
+    code = run_command("sample", RunConfig(**kwargs), out=out)
     return code, out.getvalue()
 
 
@@ -165,3 +166,20 @@ def test_negative_exponent_value_as_separate_argument(capsys):
     assert main(base + ["--b-im", "-8e-05"]) == 0
     assert capsys.readouterr().out == joined
     assert json.loads(joined)[0]["parameters"]["b_im"] == b_im
+
+
+def _amplitude_flags(a_re):
+    return [f"--a-re={a_re!r}", f"--b-re={math.sqrt(1.0 - 3.0 * a_re**2)!r}"]
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_a_at_or_below_zero_probability_tolerance_exits_2(command, capsys):
+    # |a|^2 = 4.9e-13 and 1e-12: sigma_z(1)=+1, of probability 2|a|^2, would count as impossible
+    for a_re in (7e-7, 1e-6):
+        argv = [command, "--scenario", "all", *_amplitude_flags(a_re), "--trials", "1000"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: |a|^2 must exceed the zero-probability tolerance 1e-12\n")
+    # one step above the bound every check passes
+    above = math.nextafter(1e-6, 1.0)
+    assert main([command, "--scenario", "all", *_amplitude_flags(above), "--trials", "1000"]) == 0
+    assert capsys.readouterr().err == ""

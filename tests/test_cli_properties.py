@@ -10,11 +10,12 @@ import io
 import json
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from serlab.cli import main
 from serlab.inference import SCENARIOS
+from serlab.measurement import ZERO_PROBABILITY_TOL
 
 PSI_SCENARIOS = ("epr-psi", "bell-hardy")
 PSI_TARGETS = {
@@ -36,12 +37,13 @@ def run(argv):
 def amplitude_flags(draw):
     """``--a-re=... --b-im=...`` for a random admissible (a, b): 3|a|^2 + |b|^2 = 1, ab != 0.
 
-    |a|^2 stays above 1e-9: below about 5e-13 the sigma_z post-selection
-    itself falls under the zero-probability tolerance.
+    |a|^2 ranges over everything ``PsiParams`` accepts: above the
+    zero-probability tolerance, which the sigma_z post-selection must clear.
     """
-    mod_a_sq = draw(st.floats(1e-9, 1.0 / 3.0, exclude_max=True))
+    mod_a_sq = draw(st.floats(ZERO_PROBABILITY_TOL, 1.0 / 3.0, exclude_min=True, exclude_max=True))
     phase_a, phase_b = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
     a = math.sqrt(mod_a_sq) * complex(math.cos(phase_a), math.sin(phase_a))
+    assume(abs(a) ** 2 > ZERO_PROBABILITY_TOL)  # the rounding of sqrt and the phase may land on the bound
     b = math.sqrt(1.0 - 3.0 * mod_a_sq) * complex(math.cos(phase_b), math.sin(phase_b))
     parts = {"a-re": a.real, "a-im": a.imag, "b-re": b.real, "b-im": b.imag}
     return [f"--{flag}={value!r}" for flag, value in parts.items()]

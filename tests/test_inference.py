@@ -1,16 +1,14 @@
-"""Tests for SER certification and the four scenario runners."""
+"""Tests for SER certification and the four scenarios of the scenario table."""
 
 import numpy as np
 import pytest
 
 from serlab.inference import (
+    SCENARIO_TABLE,
+    SCENARIOS,
     SerClaim,
     certify_ser,
     hardy_null_outcome_scan,
-    run_bell_ghz,
-    run_bell_hardy,
-    run_epr_ghz,
-    run_epr_psi,
     run_scenario,
     sample_scenario,
 )
@@ -118,11 +116,11 @@ def test_certify_rejects_unpreparable_condition():
     assert cert.failed_clause == "condition-unpreparable"
 
 
-# --- scenario runners --------------------------------------------------------------
+# --- scenario runs -----------------------------------------------------------------
 
 
 def test_run_epr_psi_defaults():
-    report = run_epr_psi(DEFAULT)
+    report = run_scenario("epr-psi", DEFAULT)
     assert report.passed()
     assert report.incompleteness_verdict is True
     assert report.post_selection_probability == pytest.approx(0.25, abs=1e-12)
@@ -134,7 +132,7 @@ def test_run_epr_psi_defaults():
 
 
 def test_run_epr_ghz():
-    report = run_epr_ghz()
+    report = run_scenario("epr-ghz")
     assert report.passed()
     assert report.incompleteness_verdict is True
     assert len(report.certified_claims) == 24  # 8 branches x 3 claims
@@ -145,7 +143,7 @@ def test_run_epr_ghz():
 
 
 def test_run_bell_hardy_defaults():
-    report = run_bell_hardy(DEFAULT)
+    report = run_scenario("bell-hardy", DEFAULT)
     assert report.passed()
     assert report.contradiction_verdict is True
     assert report.post_selection_probability == pytest.approx(0.0625, abs=1e-12)
@@ -154,7 +152,7 @@ def test_run_bell_hardy_defaults():
 
 
 def test_run_bell_ghz():
-    report = run_bell_ghz()
+    report = run_scenario("bell-ghz")
     assert report.passed()
     assert report.contradiction_verdict is True
     identity_check = next(c for c in report.checks if c.anchor == "bell-ghz:b-product-identity")
@@ -167,15 +165,15 @@ def test_verdicts_invariant_over_random_parameters():
     rng = np.random.default_rng(77)
     for _ in range(100):
         params = random_psi_params(rng)
-        assert run_epr_psi(params).incompleteness_verdict is True
-        assert run_bell_hardy(params).contradiction_verdict is True
+        assert run_scenario("epr-psi", params).incompleteness_verdict is True
+        assert run_scenario("bell-hardy", params).contradiction_verdict is True
 
 
-@pytest.mark.parametrize("runner", [run_epr_psi, run_bell_hardy])
-def test_psi_verdict_false_beside_failing_check(runner, monkeypatch):
+@pytest.mark.parametrize("scenario", ["epr-psi", "bell-hardy"])
+def test_psi_verdict_false_beside_failing_check(scenario, monkeypatch):
     # a NaN post-selection probability fails its check, and the verdict with it
     monkeypatch.setattr("serlab.inference.outcome_probability", lambda state, assignment: float("nan"))
-    report = runner(DEFAULT)
+    report = run_scenario(scenario, DEFAULT)
     assert not report.passed()
     assert report.first_failure().anchor.endswith(":postselect")
     assert {report.incompleteness_verdict, report.contradiction_verdict} == {False, None}
@@ -183,8 +181,14 @@ def test_psi_verdict_false_beside_failing_check(runner, monkeypatch):
 
 def test_run_scenario_dispatch():
     assert run_scenario("epr-ghz").scenario == "epr-ghz"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown scenario 'nope'"):
         run_scenario("nope")
+    with pytest.raises(ValueError, match="needs psi-family parameters"):
+        run_scenario("bell-hardy")
+    with pytest.raises(ValueError, match="needs psi-family parameters"):
+        sample_scenario("epr-psi", trials=10)
+    assert SCENARIOS == ("epr-psi", "epr-ghz", "bell-hardy", "bell-ghz")
+    assert [name for name, spec in SCENARIO_TABLE.items() if spec.needs_params] == ["epr-psi", "bell-hardy"]
 
 
 # --- mutation sensitivity ------------------------------------------------------------
@@ -210,11 +214,11 @@ def test_flipping_ghz_claims_fails(scenario):
 
 def test_flip_claim_out_of_range():
     with pytest.raises(ValueError):
-        run_epr_psi(DEFAULT, flip_claim=3)
+        run_scenario("epr-psi", DEFAULT, flip_claim=3)
 
 
 def test_every_emitted_claim_recertifies():
-    reports = [run_epr_psi(DEFAULT), run_epr_ghz(), run_bell_hardy(DEFAULT), run_bell_ghz()]
+    reports = [run_scenario(name, DEFAULT) for name in SCENARIOS]
     states = [psi_state(DEFAULT), ghz_mermin_state(), psi_state(DEFAULT), ghz_mermin_state()]
     for report, state in zip(reports, states):
         for claim, cert in report.certified_claims:

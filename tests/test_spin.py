@@ -211,6 +211,15 @@ def test_distinct_arguments_give_distinct_instances():
         (mermin_A, (0,), ValueError),
         (mermin_B, (4,), ValueError),
         (spin_product, (Axis.Z, 5), ValueError),
+        # a bool or float index hashes like an int but would be written into the label
+        (spin, (Axis.X, True, 3), TypeError),
+        (spin, (Axis.X, 1, 3.0), TypeError),
+        (hardy_projector, (3.0,), TypeError),
+        (hardy_projector, (True,), TypeError),
+        (mermin_A, (True,), TypeError),
+        (mermin_A, (1.0,), TypeError),
+        (mermin_B, (np.float64(2),), TypeError),
+        (spin_product, (Axis.X, 3.0), TypeError),
     ],
 )
 def test_named_operator_factories_raise_on_every_call(factory, args, error):
@@ -218,6 +227,21 @@ def test_named_operator_factories_raise_on_every_call(factory, args, error):
     for _ in range(3):
         with pytest.raises(error):
             factory(*args)
+
+
+@pytest.mark.parametrize(
+    "factory, args, numpy_args",
+    [
+        (spin, (Axis.Y, 2, 3), (Axis.Y, np.int64(2), np.int32(3))),
+        (hardy_projector, (3,), (np.int8(3),)),
+        (mermin_A, (2,), (np.int64(2),)),
+        (mermin_B, (3,), (np.uint16(3),)),
+        (spin_product, (Axis.X, 3), (Axis.X, np.int64(3))),
+    ],
+)
+def test_numpy_integer_arguments_share_the_int_instance(factory, args, numpy_args):
+    assert factory(*numpy_args) is factory(*args)
+    assert "np" not in factory(*numpy_args).label
 
 
 def test_named_operators_are_not_built_at_import():

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from serlab.hilbert import basis_state, tensor
-from serlab.measurement import OutcomeAssignment, collapse, conditional_probability, outcome_probability
+from serlab.measurement import (
+    ZERO_PROBABILITY_TOL,
+    OutcomeAssignment,
+    collapse,
+    conditional_probability,
+    outcome_probability,
+)
 from serlab.spin import Axis, hardy_projector, spin, spin_product
 from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state, random_psi_params
 
@@ -25,6 +31,17 @@ def test_psi_params_validation():
             PsiParams(bad, 0.5)
         with pytest.raises(ValueError, match="finite"):
             PsiParams(0.5, bad)
+
+
+def test_psi_params_reject_a_below_zero_probability_tolerance():
+    # the scenarios condition on sigma_z outcomes of probability 2|a|^2, which must stay above it
+    at_bound = np.sqrt(ZERO_PROBABILITY_TOL)
+    for a in (at_bound, 7e-7, 1e-9):
+        with pytest.raises(ValueError, match="zero-probability tolerance"):
+            PsiParams(a, np.sqrt(1.0 - 3.0 * a**2))
+    above = np.nextafter(at_bound, 1.0)
+    assert abs(above) ** 2 > ZERO_PROBABILITY_TOL
+    PsiParams(above, np.sqrt(1.0 - 3.0 * above**2))
 
 
 def test_psi_state_amplitudes():
