@@ -10,6 +10,7 @@ numbers are serialized with 17 significant digits and field order is fixed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -284,6 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call and reused for the life of the process."""
+    return build_parser()
+
+
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """Write ``--b-im -8e-05`` as ``--b-im=-8e-05``.
 
@@ -309,8 +316,7 @@ def _is_float(text: str) -> bool:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     # sample has no --flip-claim, so that field keeps its default
     config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
     if config.flip_claim is not None and config.scenario == "all":

@@ -25,6 +25,8 @@ EIGENVALUE_CLUSTER_TOL = 1e-8
 
 _MAX_DIM = 16
 _UNIT_NORM_TOL = 1e-8
+_NONZERO_NORM_TOL = 1e-12
+_PARALLEL_TOL = 1e-12
 _NULLSPACE_TOL = 1e-8
 
 __all__ = [
@@ -75,7 +77,7 @@ class StateVector:
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
-        if norm < 1e-12:
+        if norm < _NONZERO_NORM_TOL:
             raise ValueError("state vector must be nonzero")
         if normalize:
             amps = amps / norm
@@ -97,7 +99,7 @@ class StateVector:
         return self.dim.bit_length() - 1
 
     def normalize(self) -> "StateVector":
-        """Rescaled copy with sum of |amplitude|^2 equal to 1 (within 1e-12)."""
+        """Rescaled copy with sum of |amplitude|^2 equal to 1 up to rounding."""
         return StateVector(self._amps, normalize=True)
 
     def amplitude(self, which: int | str) -> complex:
@@ -114,7 +116,7 @@ class StateVector:
             raise ValueError("states live in different spaces")
         return complex(np.vdot(self._amps, other._amps))
 
-    def parallel_to(self, other: "StateVector", tol: float = 1e-12) -> bool:
+    def parallel_to(self, other: "StateVector", tol: float = _PARALLEL_TOL) -> bool:
         """Equality up to a global phase: |<self|other>| = 1 within ``tol``."""
         return abs(abs(self.overlap(other)) - 1.0) <= tol
 
@@ -142,9 +144,13 @@ class SpectralDecomposition:
     projectors: tuple[np.ndarray, ...]
 
     def index_of(self, value: float, tol: float = EIGENVALUE_CLUSTER_TOL) -> int:
-        evs = np.asarray(self.eigenvalues)
-        k = int(np.argmin(np.abs(evs - value)))
-        if abs(evs[k] - value) > tol:
+        """Index of the eigenvalue nearest ``value``; ``ValueError`` if it is not within ``tol``.
+
+        A NaN ``value`` is within no tolerance of any eigenvalue, so it raises.
+        """
+        distances = [abs(ev - value) for ev in self.eigenvalues]
+        k = min(range(len(distances)), key=distances.__getitem__)
+        if not distances[k] <= tol:
             raise ValueError(f"value {value} is not in the spectrum {self.eigenvalues}")
         return k
 
@@ -285,8 +291,9 @@ def common_eigenstate_dim(ops, values) -> int:
 
     Each requested value is snapped to the nearest point of its operator's
     spectrum; a value farther than the clustering tolerance from every
-    eigenvalue yields dimension 0.  The intersection dimension is computed as
-    the nullspace dimension of ``sum_i (op_i - v_i)^dagger (op_i - v_i)``.
+    eigenvalue, or NaN, yields dimension 0.  The intersection dimension is
+    computed as the nullspace dimension of
+    ``sum_i (op_i - v_i)^dagger (op_i - v_i)``.
     """
     ops = list(ops)
     values = list(values)
@@ -300,11 +307,12 @@ def common_eigenstate_dim(ops, values) -> int:
 
     snapped: list[float] = []
     for op, value in zip(ops, values):
-        evs = np.asarray(op.eigenvalues())
-        k = int(np.argmin(np.abs(evs - value)))
-        if abs(evs[k] - value) > EIGENVALUE_CLUSTER_TOL:
+        spectral = op.spectral()
+        try:
+            k = spectral.index_of(value)
+        except ValueError:
             return 0
-        snapped.append(float(evs[k]))
+        snapped.append(spectral.eigenvalues[k])
 
     gram = np.zeros((dim, dim), dtype=complex)
     identity = np.eye(dim)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,29 +75,30 @@ def _label(obs: Observable) -> str:
 
 
 class OutcomeAssignment:
-    """Joint outcome (observable, eigenvalue) pairs over mutually commuting observables."""
+    """Joint outcome (observable, eigenvalue) pairs over mutually commuting observables.
 
-    __slots__ = ("_pairs", "_dim", "_projector")
+    Each value is matched to its observable's spectral index once, on
+    construction.  The joint projector is memoised per observable tuple and
+    index tuple (see :func:`hilbert.joint_fact`), never per caller value.
+    """
 
-    def __init__(self, pairs, *, dim: int | None = None):
+    __slots__ = ("_pairs", "_dim", "_indices")
+
+    def __init__(self, pairs, *, dim: int | None = None, _indices: tuple[int, ...] | None = None):
         pairs = tuple((obs, float(value)) for obs, value in pairs)
-        if pairs:
-            first = pairs[0][0]
-            if dim is not None and dim != first.dim:
-                raise ValueError(f"explicit dim {dim} does not match observables of dim {first.dim}")
-            dim = first.dim
-            for obs, value in pairs:
-                if obs.dim != dim:
-                    raise ValueError("all observables in an assignment must share a dimension")
-                evs = np.asarray(obs.eigenvalues())
-                if float(np.min(np.abs(evs - value))) > SPECTRUM_MATCH_TOL:
-                    raise ValueError(f"{value} is not in the spectrum of {_label(obs)}")
+        if _indices is None:  # ``extended`` passes the indices of pairs it has validated
+            if pairs:
+                first = pairs[0][0]
+                if dim is not None and dim != first.dim:
+                    raise ValueError(f"explicit dim {dim} does not match observables of dim {first.dim}")
+                dim = first.dim
+            elif dim is None:
+                raise ValueError("an empty assignment needs an explicit dim")
+            _indices = tuple(_spectral_index(obs, value, dim) for obs, value in pairs)
             _check_commuting([obs for obs, _ in pairs])
-        elif dim is None:
-            raise ValueError("an empty assignment needs an explicit dim")
         self._pairs = pairs
         self._dim = dim
-        self._projector = None
+        self._indices = _indices
 
     @property
     def pairs(self) -> tuple:
@@ -110,16 +112,23 @@ class OutcomeAssignment:
         return len(self._pairs)
 
     def joint_projector(self) -> np.ndarray:
-        """Product of the eigenprojectors (order irrelevant by commutation)."""
-        if self._projector is None:
-            proj = np.eye(self._dim, dtype=complex)
-            for obs, value in self._pairs:
-                proj = proj @ obs.spectral().projector_for(value, SPECTRUM_MATCH_TOL)
-            self._projector = proj
-        return self._projector
+        """Product of the eigenprojectors (order irrelevant by commutation), read-only."""
+        observables = tuple(obs for obs, _ in self._pairs)
+        build = partial(_projector_product, observables, self._indices, self._dim)
+        if not observables:  # no observable to hold the memo; the identity is cheap
+            return build()
+        return joint_fact(observables, ("joint_projector", self._indices), build)
 
     def extended(self, obs: Observable, value: float) -> "OutcomeAssignment":
-        return OutcomeAssignment(self._pairs + ((obs, float(value)),), dim=self._dim)
+        """This assignment plus ``(obs, value)``; only the added pair is validated."""
+        value = float(value)
+        index = _spectral_index(obs, value, self._dim)
+        for given, _ in self._pairs:
+            if not commutes(given, obs):
+                raise IncompatibleObservablesError(f"{_label(given)} and {_label(obs)} do not commute")
+        return OutcomeAssignment(
+            self._pairs + ((obs, value),), dim=self._dim, _indices=self._indices + (index,)
+        )
 
     def describe(self) -> str:
         if not self._pairs:
@@ -182,6 +191,25 @@ class MeasurementRecord:
     trial: int
     outcomes: tuple[tuple[str, float], ...]
     post_state: StateVector
+
+
+def _spectral_index(obs: Observable, value: float, dim: int) -> int:
+    """Index of ``value`` in the spectrum of ``obs``, which must act on dimension ``dim``."""
+    if obs.dim != dim:
+        raise ValueError("all observables in an assignment must share a dimension")
+    try:
+        return obs.spectral().index_of(value, SPECTRUM_MATCH_TOL)
+    except ValueError:
+        raise ValueError(f"{value} is not in the spectrum of {_label(obs)}") from None
+
+
+def _projector_product(observables, indices, dim: int) -> np.ndarray:
+    """Read-only ``1 @ P_1 @ P_2 ...``, with ``P_i`` the eigenprojector ``indices[i]`` of ``observables[i]``."""
+    proj = np.eye(dim, dtype=complex)
+    for obs, k in zip(observables, indices):
+        proj = proj @ obs.spectral().projectors[k]
+    proj.setflags(write=False)
+    return proj
 
 
 def _check_commuting(obs: list[Observable]) -> None:

@@ -1,15 +1,19 @@
 """Tests for the command-line interface: exit codes, report formats, determinism."""
 
+import importlib
 import io
 import json
 import math
+from collections import Counter
 
 import pytest
 
+from serlab import cli, measurement
 from serlab.cli import RunConfig, dumps, main, run_command
 
 CHECK_FIELDS = {"description", "anchor", "expected", "computed", "pass"}
 TOP_FIELDS = {"scenario", "parameters", "seed", "checks", "sampling", "verdicts"}
+spin_module = importlib.import_module("serlab.spin")  # the package exports a function named spin
 
 
 def run_verify(**kwargs):
@@ -183,3 +187,25 @@ def test_a_at_or_below_zero_probability_tolerance_exits_2(command, capsys):
     above = math.nextafter(1e-6, 1.0)
     assert main([command, "--scenario", "all", *_amplitude_flags(above), "--trials", "1000"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_second_verify_builds_no_projector_and_no_parser(monkeypatch, capsys):
+    monkeypatch.setattr(spin_module, "_SHARED", {})  # fresh named operators, so the first call fills the memo
+    cli._parser.cache_clear()
+    builds = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            builds[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(measurement, "_projector_product", counting("projector", measurement._projector_product))
+    monkeypatch.setattr(cli, "build_parser", counting("parser", cli.build_parser))
+    argv = ["verify", "--scenario", "all", "--format", "json"]
+    assert main(argv) == 0
+    first = dict(builds)
+    assert first["parser"] == 1 and first["projector"] > 0
+    assert main(argv) == 0
+    assert builds == first

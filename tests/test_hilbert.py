@@ -132,6 +132,13 @@ def test_spectral_sigma_z():
     assert np.allclose(spec.projector_for(+1.0), [[1, 0], [0, 0]])
 
 
+def test_spectral_index_of_rejects_nan():
+    spec = spin(Axis.Z, 1, 3).spectral()
+    assert spec.index_of(-1.0) == 0 and spec.index_of(1.0 + 1e-9) == 1
+    with pytest.raises(ValueError, match="spectrum"):
+        spec.index_of(float("nan"))
+
+
 def test_spectral_hardy_projector_ranks():
     spec = hardy_projector().spectral()
     assert np.allclose(spec.eigenvalues, (0.0, 1.0))
@@ -210,6 +217,7 @@ def test_common_eigenstate_dim_mermin_pairs_zero():
 
 def test_common_eigenstate_value_not_in_spectrum():
     assert common_eigenstate_dim([pauli(Axis.Z)], [0.5]) == 0
+    assert common_eigenstate_dim([spin(Axis.Z, 1, 3)], [float("nan")]) == 0
     assert common_eigenstate_dim([pauli(Axis.Z)], [1.0 + 1e-7]) == 0
     # but a value within the clustering tolerance is snapped onto the spectrum
     assert common_eigenstate_dim([pauli(Axis.Z)], [1.0 + 1e-9]) == 1

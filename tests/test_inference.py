@@ -13,7 +13,7 @@ from serlab.inference import (
     sample_scenario,
 )
 from serlab.measurement import OutcomeAssignment
-from serlab.spin import Axis, hardy_projector, spin
+from serlab.spin import Axis, hardy_projector, mermin_A, spin
 from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state, random_psi_params
 
 DEFAULT = PsiParams(0.5, 0.5)
@@ -63,6 +63,13 @@ def test_certify_nan_tolerance_never_certifies():
     cert = certify_ser(state, claim, tolerance=float("nan"))
     assert not cert
     assert cert.failed_clause == "not-certain"
+
+
+def test_certify_rejects_nan_predicted_value():
+    conditioning = OutcomeAssignment([(spin(Axis.Y, 1, 3), -1.0)])
+    claim = SerClaim(mermin_A(1), float("nan"), conditioning, frozenset({1}), frozenset({2, 3}))
+    with pytest.raises(ValueError, match="spectrum"):
+        certify_ser(ghz_mermin_state(), claim)
 
 
 def test_certify_rejects_overlapping_regions():

@@ -1,6 +1,7 @@
 """Tests for probabilities, collapse, compatibility, and seeded sampling."""
 
 import gc
+import importlib
 import itertools
 import tracemalloc
 import weakref
@@ -9,7 +10,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from serlab.hilbert import Observable, StateVector, acts_only_on, basis_state, has_common_eigenstate
+from serlab.hilbert import _PARTNERS, Observable, StateVector, acts_only_on, basis_state, has_common_eigenstate
+from serlab.inference import SCENARIO_TABLE, SCENARIOS, run_scenario
 from serlab.measurement import (
     _CHUNK_TRIALS,
     _BranchTree,
@@ -29,6 +31,7 @@ from serlab.states import PsiParams, ghz_mermin_state, psi_state, random_psi_par
 from oracles import joint_probability, random_state, random_unitary, sequential_sample_outcomes
 
 DEFAULT = PsiParams(0.5, 0.5)
+spin_module = importlib.import_module("serlab.spin")  # the package exports a function named spin
 
 
 # --- probabilities ------------------------------------------------------------
@@ -62,6 +65,11 @@ def test_outcome_assignment_rejects_noncommuting():
 def test_outcome_assignment_rejects_off_spectrum_value():
     with pytest.raises(ValueError, match="spectrum"):
         OutcomeAssignment([(spin(Axis.Z, 1, 2), 0.5)])
+    # NaN is within no tolerance of an eigenvalue; it must not alias index 0 (eigenvalue -1)
+    with pytest.raises(ValueError, match="spectrum"):
+        OutcomeAssignment([(spin(Axis.Z, 1, 3), float("nan"))])
+    with pytest.raises(ValueError, match="spectrum"):
+        OutcomeAssignment([(spin(Axis.Z, 1, 3), -1.0)]).extended(spin(Axis.Z, 2, 3), float("nan"))
 
 
 def test_conditional_certainty():
@@ -190,11 +198,44 @@ def test_caller_observable_is_freed_after_memoised_facts():
     assert commutes(caller, named) and commutes(named, caller) and commutes(caller, caller)
     assert acts_only_on(caller, [3], 3)
     assert has_common_eigenstate([named, caller])
-    assert OutcomeAssignment([(named, 1.0), (caller, -1.0)]).dim == 8
+    assignment = OutcomeAssignment([(named, 1.0), (caller, -1.0)])
+    assert assignment.dim == 8 and assignment.joint_projector().shape == (8, 8)
+    del assignment
     freed = weakref.ref(caller)
     del caller
     gc.collect()
     assert freed() is None
+
+
+def _joint_projector_entries(facts) -> int:
+    """The ``"joint_projector"`` entries of an ``Observable._facts`` memo, its partner maps included."""
+    count = sum(1 for key in facts if isinstance(key, tuple) and key[0] == "joint_projector")
+    return count + sum(_joint_projector_entries(f) for f in facts.get(_PARTNERS, {}).values())
+
+
+def test_joint_projector_memo_is_bounded_over_drawn_states():
+    def entries():
+        return sum(_joint_projector_entries(op._facts) for op in spin_module._SHARED.values())
+
+    for name in SCENARIOS:  # warm-up: every scenario once
+        run_scenario(name, DEFAULT if SCENARIO_TABLE[name].needs_params else None)
+    after_first = entries()
+    assert after_first > 0
+    rng = np.random.default_rng(6)
+    psi_family = [name for name in SCENARIOS if SCENARIO_TABLE[name].needs_params]
+    for k in range(10_000):
+        run_scenario(psi_family[k % len(psi_family)], random_psi_params(rng))
+    assert entries() == after_first
+
+
+def test_joint_projector_is_shared_per_spectral_index():
+    sz1, sz2 = spin(Axis.Z, 1, 3), spin(Axis.Z, 2, 3)
+    proj = OutcomeAssignment([(sz1, 1.0), (sz2, -1.0)]).joint_projector()
+    assert OutcomeAssignment([(sz1, 1.0 + 1e-9), (sz2, -1.0)]).joint_projector() is proj
+    assert OutcomeAssignment([(sz1, 1.0)]).extended(sz2, -1.0).joint_projector() is proj
+    assert not proj.flags.writeable
+    expected = sz1.spectral().projector_for(1.0) @ sz2.spectral().projector_for(-1.0)
+    assert np.array_equal(proj, np.eye(8) @ expected)
 
 
 # --- collapse -------------------------------------------------------------------
