@@ -263,7 +263,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["text", "json"], default=d.format, help="report format")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call (not at import) and reused for the life of the process."""
     parser = argparse.ArgumentParser(
         prog="serlab",
         description="Verify certain-value inference arguments on three-qubit entangled states.",
@@ -283,12 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="run the scenario's seeded Monte Carlo measurements")
     _add_common_options(sample)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first :func:`main` call and reused for the life of the process."""
-    return build_parser()
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -316,7 +312,7 @@ def _is_float(text: str) -> bool:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     # sample has no --flip-claim, so that field keeps its default
     config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
     if config.flip_claim is not None and config.scenario == "all":

@@ -94,6 +94,11 @@ class SerClaim:
         object.__setattr__(self, "inferring_region", frozenset(self.inferring_region))
         object.__setattr__(self, "target_region", frozenset(self.target_region))
         object.__setattr__(self, "predicted_value", float(self.predicted_value))
+        try:
+            self.observable.spectral().index_of(self.predicted_value, SPECTRUM_MATCH_TOL)
+        except ValueError:
+            label = self.observable.label or "observable"
+            raise ValueError(f"predicted value {self.predicted_value} is not in the spectrum of {label}") from None
 
     def describe(self) -> str:
         label = self.observable.label or "observable"

@@ -84,21 +84,19 @@ class OutcomeAssignment:
 
     __slots__ = ("_pairs", "_dim", "_indices")
 
-    def __init__(self, pairs, *, dim: int | None = None, _indices: tuple[int, ...] | None = None):
+    def __init__(self, pairs, *, dim: int | None = None):
         pairs = tuple((obs, float(value)) for obs, value in pairs)
-        if _indices is None:  # ``extended`` passes the indices of pairs it has validated
-            if pairs:
-                first = pairs[0][0]
-                if dim is not None and dim != first.dim:
-                    raise ValueError(f"explicit dim {dim} does not match observables of dim {first.dim}")
-                dim = first.dim
-            elif dim is None:
-                raise ValueError("an empty assignment needs an explicit dim")
-            _indices = tuple(_spectral_index(obs, value, dim) for obs, value in pairs)
-            _check_commuting([obs for obs, _ in pairs])
+        if pairs:
+            first = pairs[0][0]
+            if dim is not None and dim != first.dim:
+                raise ValueError(f"explicit dim {dim} does not match observables of dim {first.dim}")
+            dim = first.dim
+        elif dim is None:
+            raise ValueError("an empty assignment needs an explicit dim")
+        self._indices = tuple(_spectral_index(obs, value, dim) for obs, value in pairs)
+        _check_commuting([obs for obs, _ in pairs])
         self._pairs = pairs
         self._dim = dim
-        self._indices = _indices
 
     @property
     def pairs(self) -> tuple:
@@ -120,15 +118,7 @@ class OutcomeAssignment:
         return joint_fact(observables, ("joint_projector", self._indices), build)
 
     def extended(self, obs: Observable, value: float) -> "OutcomeAssignment":
-        """This assignment plus ``(obs, value)``; only the added pair is validated."""
-        value = float(value)
-        index = _spectral_index(obs, value, self._dim)
-        for given, _ in self._pairs:
-            if not commutes(given, obs):
-                raise IncompatibleObservablesError(f"{_label(given)} and {_label(obs)} do not commute")
-        return OutcomeAssignment(
-            self._pairs + ((obs, value),), dim=self._dim, _indices=self._indices + (index,)
-        )
+        return OutcomeAssignment(self._pairs + ((obs, float(value)),), dim=self._dim)
 
     def describe(self) -> str:
         if not self._pairs:

@@ -4,7 +4,6 @@ import importlib
 import io
 import json
 import math
-from collections import Counter
 
 import pytest
 
@@ -191,21 +190,19 @@ def test_a_at_or_below_zero_probability_tolerance_exits_2(command, capsys):
 
 def test_second_verify_builds_no_projector_and_no_parser(monkeypatch, capsys):
     monkeypatch.setattr(spin_module, "_SHARED", {})  # fresh named operators, so the first call fills the memo
-    cli._parser.cache_clear()
-    builds = Counter()
+    cli.build_parser.cache_clear()
+    projector_builds = 0
+    build = measurement._projector_product
 
-    def counting(name, fn):
-        def wrapper(*args):
-            builds[name] += 1
-            return fn(*args)
+    def counting(*args):
+        nonlocal projector_builds
+        projector_builds += 1
+        return build(*args)
 
-        return wrapper
-
-    monkeypatch.setattr(measurement, "_projector_product", counting("projector", measurement._projector_product))
-    monkeypatch.setattr(cli, "build_parser", counting("parser", cli.build_parser))
+    monkeypatch.setattr(measurement, "_projector_product", counting)
     argv = ["verify", "--scenario", "all", "--format", "json"]
     assert main(argv) == 0
-    first = dict(builds)
-    assert first["parser"] == 1 and first["projector"] > 0
+    first = projector_builds
+    assert first > 0 and cli.build_parser.cache_info().misses == 1
     assert main(argv) == 0
-    assert builds == first
+    assert projector_builds == first and cli.build_parser.cache_info().misses == 1

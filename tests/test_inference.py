@@ -65,11 +65,12 @@ def test_certify_nan_tolerance_never_certifies():
     assert cert.failed_clause == "not-certain"
 
 
-def test_certify_rejects_nan_predicted_value():
+@pytest.mark.parametrize("value", [float("nan"), 0.5])
+def test_ser_claim_rejects_off_spectrum_predicted_value(value):
+    # an off-spectrum claim never reaches certify_ser, which returns verdicts only
     conditioning = OutcomeAssignment([(spin(Axis.Y, 1, 3), -1.0)])
-    claim = SerClaim(mermin_A(1), float("nan"), conditioning, frozenset({1}), frozenset({2, 3}))
-    with pytest.raises(ValueError, match="spectrum"):
-        certify_ser(ghz_mermin_state(), claim)
+    with pytest.raises(ValueError, match="not in the spectrum of A_1"):
+        SerClaim(mermin_A(1), value, conditioning, frozenset({1}), frozenset({2, 3}))
 
 
 def test_certify_rejects_overlapping_regions():
