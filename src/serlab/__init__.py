@@ -12,15 +12,15 @@ entangled states of three spin-1/2 particles:
 """
 
 from .hilbert import (
-    EIGENVALUE_CLUSTER_TOL,
-    HERMITIAN_TOL,
-    PROJECTOR_TOL,
+    EIGENVALUE_TOL,
+    EXACT_ENTRY_TOL,
+    OPERATOR_TOL,
+    SCALAR_TOL,
     Observable,
     SpectralDecomposition,
     StateVector,
     acts_only_on,
     basis_index,
-    basis_pattern,
     basis_state,
     common_eigenstate_dim,
     has_common_eigenstate,
@@ -63,16 +63,17 @@ __all__ = [
     "CERTAINTY_TOL",
     "Certification",
     "Check",
-    "EIGENVALUE_CLUSTER_TOL",
+    "EIGENVALUE_TOL",
+    "EXACT_ENTRY_TOL",
     "FrequencyEntry",
-    "HERMITIAN_TOL",
     "IncompatibleObservablesError",
     "MeasurementRecord",
     "Observable",
+    "OPERATOR_TOL",
     "OutcomeAssignment",
-    "PROJECTOR_TOL",
     "PsiParams",
     "RNG_ALGORITHM",
+    "SCALAR_TOL",
     "SCENARIOS",
     "SamplingStats",
     "ScenarioReport",
@@ -82,7 +83,6 @@ __all__ = [
     "ZeroProbabilityError",
     "acts_only_on",
     "basis_index",
-    "basis_pattern",
     "basis_state",
     "certify_ser",
     "collapse",

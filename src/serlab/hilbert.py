@@ -19,20 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
-PROJECTOR_TOL = 1e-10
-EIGENVALUE_CLUSTER_TOL = 1e-8
+# One tolerance per class of quantity; the README's Tolerances table lists every use.
+EXACT_ENTRY_TOL = 1e-12  # an operator entry that must be exact
+OPERATOR_TOL = 1e-10  # an entry of a derived operator (commutator, locality residual)
+EIGENVALUE_TOL = 1e-8  # an eigenvalue, or a product of eigenvalues
+SCALAR_TOL = 1e-12  # a probability, norm or amplitude against 0, 1 or an expected value
 
 _MAX_DIM = 16
 _UNIT_NORM_TOL = 1e-8
-_NONZERO_NORM_TOL = 1e-12
-_PARALLEL_TOL = 1e-12
-_NULLSPACE_TOL = 1e-8
 
 __all__ = [
-    "HERMITIAN_TOL",
-    "PROJECTOR_TOL",
-    "EIGENVALUE_CLUSTER_TOL",
+    "EXACT_ENTRY_TOL",
+    "OPERATOR_TOL",
+    "EIGENVALUE_TOL",
+    "SCALAR_TOL",
     "StateVector",
     "Observable",
     "SpectralDecomposition",
@@ -41,7 +41,6 @@ __all__ = [
     "has_common_eigenstate",
     "acts_only_on",
     "basis_index",
-    "basis_pattern",
     "basis_state",
 ]
 
@@ -58,12 +57,11 @@ def basis_index(pattern: str) -> int:
     return int("".join("0" if c == "+" else "1" for c in pattern), 2)
 
 
-def basis_pattern(index: int, n_particles: int) -> str:
-    """Inverse of :func:`basis_index`: the +/- label of a basis index."""
-    if not 0 <= index < 2**n_particles:
-        raise ValueError(f"index {index} out of range for {n_particles} particles")
-    bits = format(index, f"0{n_particles}b")
-    return "".join("+" if b == "0" else "-" for b in bits)
+def _index(value) -> int:
+    """``operator.index(value)``, except that a bool, which would pass as 0 or 1, raises ``TypeError``."""
+    if isinstance(value, bool):
+        raise TypeError(f"an index must be an int, not bool ({value!r})")
+    return operator.index(value)
 
 
 class StateVector:
@@ -77,7 +75,7 @@ class StateVector:
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
-        if norm < _NONZERO_NORM_TOL:
+        if norm < SCALAR_TOL:
             raise ValueError("state vector must be nonzero")
         if normalize:
             amps = amps / norm
@@ -98,16 +96,16 @@ class StateVector:
     def num_particles(self) -> int:
         return self.dim.bit_length() - 1
 
-    def normalize(self) -> "StateVector":
-        """Rescaled copy with sum of |amplitude|^2 equal to 1 up to rounding."""
-        return StateVector(self._amps, normalize=True)
-
     def amplitude(self, which: int | str) -> complex:
         """Amplitude at a basis index, or at a +/- pattern such as ``"+-+"``."""
         if isinstance(which, str):
             if 2 ** len(which) != self.dim:
                 raise ValueError(f"pattern {which!r} does not address a dim-{self.dim} state")
             which = basis_index(which)
+        else:
+            which = _index(which)
+            if not 0 <= which < self.dim:
+                raise ValueError(f"basis index {which} out of range for a dim-{self.dim} state")
         return complex(self._amps[which])
 
     def overlap(self, other: "StateVector") -> complex:
@@ -116,9 +114,9 @@ class StateVector:
             raise ValueError("states live in different spaces")
         return complex(np.vdot(self._amps, other._amps))
 
-    def parallel_to(self, other: "StateVector", tol: float = _PARALLEL_TOL) -> bool:
-        """Equality up to a global phase: |<self|other>| = 1 within ``tol``."""
-        return abs(abs(self.overlap(other)) - 1.0) <= tol
+    def parallel_to(self, other: "StateVector") -> bool:
+        """Equality up to a global phase: |<self|other>| = 1 within ``SCALAR_TOL``."""
+        return abs(abs(self.overlap(other)) - 1.0) <= SCALAR_TOL
 
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim})"
@@ -136,33 +134,26 @@ class SpectralDecomposition:
     """Distinct eigenvalues (ascending) with their orthogonal eigenprojectors.
 
     Numerically split degenerate eigenvalues are merged with clustering
-    tolerance ``EIGENVALUE_CLUSTER_TOL``; each projector is the sum of the
+    tolerance ``EIGENVALUE_TOL``; each projector is the sum of the
     outer products of the eigenvectors in its cluster.
     """
 
     eigenvalues: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
 
-    def index_of(self, value: float, tol: float = EIGENVALUE_CLUSTER_TOL) -> int:
-        """Index of the eigenvalue nearest ``value``; ``ValueError`` if it is not within ``tol``.
+    def index_of(self, value: float) -> int:
+        """Index of the eigenvalue nearest ``value``; ``ValueError`` if it is not within ``EIGENVALUE_TOL``.
 
         A NaN ``value`` is within no tolerance of any eigenvalue, so it raises.
         """
         distances = [abs(ev - value) for ev in self.eigenvalues]
         k = min(range(len(distances)), key=distances.__getitem__)
-        if not distances[k] <= tol:
+        if not distances[k] <= EIGENVALUE_TOL:
             raise ValueError(f"value {value} is not in the spectrum {self.eigenvalues}")
         return k
 
-    def projector_for(self, value: float, tol: float = EIGENVALUE_CLUSTER_TOL) -> np.ndarray:
-        return self.projectors[self.index_of(value, tol)]
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue * projector; equals the original operator."""
-        out = np.zeros_like(self.projectors[0])
-        for value, proj in zip(self.eigenvalues, self.projectors):
-            out = out + value * proj
-        return out
+    def projector_for(self, value: float) -> np.ndarray:
+        return self.projectors[self.index_of(value)]
 
 
 def _spectral_decomposition(matrix: np.ndarray) -> SpectralDecomposition:
@@ -171,7 +162,7 @@ def _spectral_decomposition(matrix: np.ndarray) -> SpectralDecomposition:
     projectors: list[np.ndarray] = []
     start = 0
     for stop in range(1, len(evals) + 1):
-        if stop == len(evals) or evals[stop] - evals[stop - 1] > EIGENVALUE_CLUSTER_TOL:
+        if stop == len(evals) or evals[stop] - evals[stop - 1] > EIGENVALUE_TOL:
             block = vecs[:, start:stop]
             proj = block @ block.conj().T
             proj = (proj + proj.conj().T) / 2
@@ -200,7 +191,7 @@ class Observable:
         if not np.isfinite(mat).all():
             raise ValueError("operator entries must be finite")
         deviation = float(np.max(np.abs(mat - mat.conj().T)))
-        if deviation > HERMITIAN_TOL:
+        if deviation > EXACT_ENTRY_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
         mat = (mat + mat.conj().T) / 2
         mat.setflags(write=False)
@@ -238,9 +229,6 @@ class Observable:
         if state.dim != self.dim:
             raise ValueError("state and observable live in different spaces")
         return float(np.real(np.vdot(state.amplitudes, self._matrix @ state.amplitudes)))
-
-    def is_projector(self, tol: float = PROJECTOR_TOL) -> bool:
-        return float(np.max(np.abs(self._matrix @ self._matrix - self._matrix))) <= tol
 
     def __repr__(self) -> str:
         name = self.label or "Observable"
@@ -290,7 +278,7 @@ def common_eigenstate_dim(ops, values) -> int:
     """Dimension of the intersection of eigenspaces ``eigenspace(op_i, value_i)``.
 
     Each requested value is snapped to the nearest point of its operator's
-    spectrum; a value farther than the clustering tolerance from every
+    spectrum; a value farther than ``EIGENVALUE_TOL`` from every
     eigenvalue, or NaN, yields dimension 0.  The intersection dimension is
     computed as the nullspace dimension of
     ``sum_i (op_i - v_i)^dagger (op_i - v_i)``.
@@ -320,7 +308,7 @@ def common_eigenstate_dim(ops, values) -> int:
         shifted = op.matrix - value * identity
         gram += shifted.conj().T @ shifted
     eigs = np.linalg.eigvalsh(gram)
-    return int(np.count_nonzero(eigs < _NULLSPACE_TOL))
+    return int(np.count_nonzero(eigs < EIGENVALUE_TOL))
 
 
 def has_common_eigenstate(ops) -> bool:
@@ -339,12 +327,13 @@ def has_common_eigenstate(ops) -> bool:
     return joint_fact(ops, "has_common_eigenstate", search)
 
 
-def acts_only_on(op: Observable, particles, n_particles: int, tol: float = PROJECTOR_TOL) -> bool:
+def acts_only_on(op: Observable, particles, n_particles: int) -> bool:
     """Whether ``op`` equals (operator on ``particles``) tensor identity on the rest.
 
     The reduced operator on the region is recovered by a normalized partial
-    trace over the complement and compared entrywise against ``op``; the
-    largest entrywise deviation is memoised on ``op`` per region.
+    trace over the complement and compared entrywise against ``op`` within
+    ``OPERATOR_TOL``; the largest entrywise deviation is memoised on ``op``
+    per region.
     """
     n_particles = operator.index(n_particles)
     region = tuple(sorted({operator.index(p) for p in particles}))
@@ -366,4 +355,4 @@ def acts_only_on(op: Observable, particles, n_particles: int, tol: float = PROJE
         rebuilt = np.kron(reduced, np.eye(d_rest))
         return float(np.max(np.abs(rebuilt - blocks.reshape(op.dim, op.dim))))
 
-    return joint_fact((op,), ("acts_only_on", region), deviation) <= tol
+    return joint_fact((op,), ("acts_only_on", region), deviation) <= OPERATOR_TOL

@@ -39,10 +39,18 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import Observable, StateVector, acts_only_on, has_common_eigenstate
+from .hilbert import (
+    EIGENVALUE_TOL,
+    EXACT_ENTRY_TOL,
+    SCALAR_TOL,
+    Observable,
+    StateVector,
+    acts_only_on,
+    has_common_eigenstate,
+)
 from .measurement import (
+    NEGLIGIBLE_PROBABILITY,
     RNG_ALGORITHM,
-    SPECTRUM_MATCH_TOL,
     IncompatibleObservablesError,
     OutcomeAssignment,
     ZeroProbabilityError,
@@ -54,13 +62,6 @@ from .spin import Axis, hardy_projector, mermin_A, mermin_B, spin, spin_product
 from .states import PsiParams, ghz_mermin_state, hardy_state, psi_state
 
 CERTAINTY_TOL = 1e-10
-REGION_TOL = 1e-10
-OPERATOR_ZERO_TOL = 1e-12
-OPERATOR_IDENTITY_TOL = 1e-12
-VALUE_MATCH_TOL = 1e-12
-# a sampled outcome of Born probability above this is admissible, so an unseen one is listed
-ADMISSIBLE_PROBABILITY_TOL = 1e-15
-PRODUCT_MATCH_TOL = 1e-9
 Z_SCORE_LIMIT = 4.0
 
 __all__ = [
@@ -95,7 +96,7 @@ class SerClaim:
         object.__setattr__(self, "target_region", frozenset(self.target_region))
         object.__setattr__(self, "predicted_value", float(self.predicted_value))
         try:
-            self.observable.spectral().index_of(self.predicted_value, SPECTRUM_MATCH_TOL)
+            self.observable.spectral().index_of(self.predicted_value)
         except ValueError:
             label = self.observable.label or "observable"
             raise ValueError(f"predicted value {self.predicted_value} is not in the spectrum of {label}") from None
@@ -129,7 +130,7 @@ def certify_ser(state: StateVector, claim: SerClaim, tolerance: float = CERTAINT
             f"target region {sorted(claim.target_region)}",
         )
     for obs, _ in claim.conditioning.pairs:
-        if not acts_only_on(obs, claim.inferring_region, n, tol=REGION_TOL):
+        if not acts_only_on(obs, claim.inferring_region, n):
             return Certification(
                 False,
                 "conditioning-not-local",
@@ -225,7 +226,7 @@ class Scenario:
     measured: tuple[Callable[[], Observable], ...]
     targets: tuple[Callable[[], Observable], ...]
     target_regions: tuple[frozenset[int], ...]
-    structure: Callable[[str, StateVector, float], list[Check]]  # (name, state, tolerance) -> checks
+    structure: Callable[[str, StateVector], list[Check]]  # (name, state) -> checks
     verdict: str  # "incompleteness" or "contradiction": true when every check passes
     post_selection: PostSelection | None = None
     product_constraint: float | None = None  # every sampled outcome triple multiplies to this
@@ -241,7 +242,7 @@ def _no_common_eigenstate(ops: list[Observable], anchor: str) -> Check:
     return Check(f"no common eigenstate of {{{labels}}}", anchor, False, shared, shared is False)
 
 
-def _targets_share_no_eigenstate(name: str, state: StateVector, tolerance: float) -> list[Check]:
+def _targets_share_no_eigenstate(name: str, state: StateVector) -> list[Check]:
     """No common eigenstate of the three psi targets, plus the pair-state caveat.
 
     On the two-particle Hardy state alone, the pi value rests on the
@@ -249,7 +250,7 @@ def _targets_share_no_eigenstate(name: str, state: StateVector, tolerance: float
     must fail certification there.
     """
     caveat_claim = SerClaim(hardy_projector(), 1.0, OutcomeAssignment((), dim=4), {1, 2}, {1, 2})
-    caveat = certify_ser(hardy_state(), caveat_claim, tolerance=tolerance).failed_clause or "certified"
+    caveat = certify_ser(hardy_state(), caveat_claim).failed_clause or "certified"
     targets = [spin(Axis.X, 1, 3), spin(Axis.X, 2, 3), hardy_projector(3)]
     return [
         _no_common_eigenstate(targets, f"{name}:no-common-eigenstate"),
@@ -261,24 +262,24 @@ def _targets_share_no_eigenstate(name: str, state: StateVector, tolerance: float
     ]
 
 
-def _pairs_share_no_eigenstate(name: str, state: StateVector, tolerance: float) -> list[Check]:
+def _pairs_share_no_eigenstate(name: str, state: StateVector) -> list[Check]:
     pairs = itertools.combinations([mermin_A(j) for j in (1, 2, 3)], 2)
     return [_no_common_eigenstate([a, b], f"{name}:no-common-eigenstate:{a.label},{b.label}") for a, b in pairs]
 
 
-def _zero_operator(name: str, state: StateVector, tolerance: float) -> list[Check]:
+def _zero_operator(name: str, state: StateVector) -> list[Check]:
     triple = OutcomeAssignment([(spin(Axis.Z, 1, 3), -1.0), (spin(Axis.Z, 2, 3), -1.0), (hardy_projector(3), 1.0)])
     norm = float(np.max(np.abs(triple.joint_projector())))
     return [
         Check(
             "projector product P(sigma_z(1)=-1) P(sigma_z(2)=-1) P(pi(1+2)=1) is the zero operator "
             "(the inferred triple has probability 0 in every state)",
-            f"{name}:zero-operator", 0.0, norm, norm < OPERATOR_ZERO_TOL,
+            f"{name}:zero-operator", 0.0, norm, norm < EXACT_ENTRY_TOL,
         )
     ]
 
 
-def _x_product_against_identity(name: str, state: StateVector, tolerance: float) -> list[Check]:
+def _x_product_against_identity(name: str, state: StateVector) -> list[Check]:
     p_minus = outcome_probability(state, OutcomeAssignment([(spin_product(Axis.X, 3), -1.0)]))
     b_product = mermin_B(1).matrix @ mermin_B(2).matrix @ mermin_B(3).matrix
     identity_dev = float(np.max(np.abs(b_product - np.eye(8))))
@@ -286,11 +287,11 @@ def _x_product_against_identity(name: str, state: StateVector, tolerance: float)
         Check(
             "P(sigma_x(1) sigma_x(2) sigma_x(3) = -1) = 1, so the inferred product "
             "eps_1 eps_2 eps_3 is -1 in every branch",
-            f"{name}:x-product-certainty", 1.0, p_minus, abs(p_minus - 1.0) <= VALUE_MATCH_TOL,
+            f"{name}:x-product-certainty", 1.0, p_minus, abs(p_minus - 1.0) <= SCALAR_TOL,
         ),
         Check(
             "B_1 B_2 B_3 is the identity operator, so directly measured B values multiply to +1 in every state",
-            f"{name}:b-product-identity", 0.0, identity_dev, identity_dev < OPERATOR_IDENTITY_TOL,
+            f"{name}:b-product-identity", 0.0, identity_dev, identity_dev < EXACT_ENTRY_TOL,
         ),
     ]
 
@@ -359,7 +360,7 @@ def _flip(claims: list[SerClaim], which: int) -> None:
     if not 0 <= which < len(claims):
         raise ValueError(f"flip index {which} out of range; scenario emits {len(claims)} claims")
     claim = claims[which]
-    others = [v for v in claim.observable.eigenvalues() if abs(v - claim.predicted_value) > VALUE_MATCH_TOL]
+    others = [v for v in claim.observable.eigenvalues() if abs(v - claim.predicted_value) > SCALAR_TOL]
     if not others:
         raise ValueError("observable has a single eigenvalue; nothing to flip to")
     claims[which] = replace(claim, predicted_value=others[0])
@@ -395,7 +396,7 @@ def run_scenario(
         report.checks.append(
             Check(
                 f"post-selection probability P({report.post_selection.describe()}) = {post.text}",
-                f"{scenario}:postselect", expected_post, p_post, abs(p_post - expected_post) <= VALUE_MATCH_TOL,
+                f"{scenario}:postselect", expected_post, p_post, abs(p_post - expected_post) <= SCALAR_TOL,
             )
         )
         branches = [((+1.0, +1.0, +1.0), post.predicted)]  # (measured outcomes, predicted values)
@@ -424,7 +425,7 @@ def run_scenario(
             description = f"branch ({label}): SERs {values} all certified"
             report.checks.append(Check(description, f"{scenario}:branch:{label}", True, ok, ok))
 
-    report.checks.extend(spec.structure(scenario, state, tolerance))
+    report.checks.extend(spec.structure(scenario, state))
     setattr(report, f"{spec.verdict}_verdict", report.passed())
     return report
 
@@ -484,9 +485,9 @@ def sample_scenario(
                     passed=count == expected_count,
                 )
             )
-        if p > ADMISSIBLE_PROBABILITY_TOL and count == 0:
+        if p > NEGLIGIBLE_PROBABILITY and count == 0:
             unobserved.append(tup)
-        if product_constraint is not None and abs(float(np.prod(tup)) - product_constraint) > PRODUCT_MATCH_TOL:
+        if product_constraint is not None and abs(float(np.prod(tup)) - product_constraint) > EIGENVALUE_TOL:
             product_violations += count
 
     if product_constraint is not None:
@@ -528,7 +529,7 @@ def hardy_null_outcome_scan(seed: int = 0, n_states: int = 20, trials: int = 100
         hit = sum(
             count
             for outcome, count in counts.items()
-            if all(abs(o - t) <= SPECTRUM_MATCH_TOL for o, t in zip(outcome, target))
+            if all(abs(o - t) <= EIGENVALUE_TOL for o, t in zip(outcome, target))
         )
         hits.append(hit)
     return hits

@@ -20,20 +20,16 @@ from functools import partial
 
 import numpy as np
 
-from .hilbert import Observable, StateVector, joint_fact
+from .hilbert import OPERATOR_TOL, SCALAR_TOL, Observable, StateVector, joint_fact
 
-COMMUTATION_TOL = 1e-10
-SPECTRUM_MATCH_TOL = 1e-8
-ZERO_PROBABILITY_TOL = 1e-12
+# an outcome of Born probability at or below this is never drawn, nor listed as admissible when unseen
+NEGLIGIBLE_PROBABILITY = 1e-15
 RNG_ALGORITHM = "philox4x64"
 
-_STRAY_BRANCH_TOL = 1e-15
 _CHUNK_TRIALS = 1 << 16
 
 __all__ = [
-    "COMMUTATION_TOL",
-    "SPECTRUM_MATCH_TOL",
-    "ZERO_PROBABILITY_TOL",
+    "NEGLIGIBLE_PROBABILITY",
     "RNG_ALGORITHM",
     "IncompatibleObservablesError",
     "ZeroProbabilityError",
@@ -56,8 +52,8 @@ class ZeroProbabilityError(ValueError):
     """Conditioning or collapsing on an outcome whose probability is (numerically) zero."""
 
 
-def commutes(a: Observable, b: Observable, tol: float = COMMUTATION_TOL) -> bool:
-    """Whether the commutator ab - ba vanishes entrywise within ``tol``.
+def commutes(a: Observable, b: Observable) -> bool:
+    """Whether the commutator ab - ba vanishes entrywise within ``OPERATOR_TOL``.
 
     The commutator's largest entry is memoised on the pair (a, b).
     """
@@ -67,7 +63,7 @@ def commutes(a: Observable, b: Observable, tol: float = COMMUTATION_TOL) -> bool
     def largest_entry() -> float:
         return float(np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix)))
 
-    return joint_fact((a, b), "commutes", largest_entry) < tol
+    return joint_fact((a, b), "commutes", largest_entry) < OPERATOR_TOL
 
 
 def _label(obs: Observable) -> str:
@@ -145,18 +141,13 @@ def conditional_probability(state: StateVector, target, given: OutcomeAssignment
     observable; by commutation this equals the sequential (measure-given,
     then measure-target) probability.
     """
-    obs, value = target
-    for g_obs, _ in given.pairs:
-        if not commutes(obs, g_obs):
-            raise IncompatibleObservablesError(
-                f"target {_label(obs)} does not commute with conditioning {_label(g_obs)}"
-            )
+    joint = given.extended(*target)
     p_given = outcome_probability(state, given)
-    if p_given <= ZERO_PROBABILITY_TOL:
+    if p_given <= SCALAR_TOL:
         raise ZeroProbabilityError(
             f"conditional on {given.describe()} undefined: outcome probability {p_given}"
         )
-    p_joint = outcome_probability(state, given.extended(obs, value))
+    p_joint = outcome_probability(state, joint)
     return min(p_joint / p_given, 1.0)
 
 
@@ -164,10 +155,10 @@ def collapse(state: StateVector, observable: Observable, value: float) -> StateV
     """Post-measurement state: eigenprojector applied and renormalized."""
     if observable.dim != state.dim:
         raise ValueError("state and observable live in different spaces")
-    proj = observable.spectral().projector_for(value, SPECTRUM_MATCH_TOL)
+    proj = observable.spectral().projector_for(value)
     amps = proj @ state.amplitudes
     weight = float(np.real(np.vdot(amps, amps)))
-    if weight <= ZERO_PROBABILITY_TOL:
+    if weight <= SCALAR_TOL:
         raise ZeroProbabilityError(
             f"cannot collapse onto {_label(observable)}={value:+g}: outcome probability {weight}"
         )
@@ -188,7 +179,7 @@ def _spectral_index(obs: Observable, value: float, dim: int) -> int:
     if obs.dim != dim:
         raise ValueError("all observables in an assignment must share a dimension")
     try:
-        return obs.spectral().index_of(value, SPECTRUM_MATCH_TOL)
+        return obs.spectral().index_of(value)
     except ValueError:
         raise ValueError(f"{value} is not in the spectrum of {_label(obs)}") from None
 
@@ -245,7 +236,7 @@ class _BranchTree:
                 probs = np.array([max(float(np.real(np.vdot(amps, proj @ amps))), 0.0) for proj in projectors])
                 cums.append(np.cumsum(probs)[:-1])
                 # roundoff can push a uniform past the last nonzero branch
-                remap = [c if probs[c] > _STRAY_BRANCH_TOL else int(np.argmax(probs)) for c in range(n)]
+                remap = [c if probs[c] > NEGLIGIBLE_PROBABILITY else int(np.argmax(probs)) for c in range(n)]
                 live = sorted(set(remap))
                 nexts.extend(len(children) + live.index(c) for c in remap)
                 children.extend((prefix + (c,), (projectors[c] @ amps) / np.sqrt(probs[c])) for c in live)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
 from functools import reduce
 
 import numpy as np
 
-from .hilbert import Observable
+from .hilbert import Observable, _index
 
 __all__ = [
     "Axis",
@@ -53,6 +52,7 @@ def embed(op: Observable, particle: int, n_particles: int) -> Observable:
     """
     if op.dim != 2:
         raise ValueError("embed expects a single-particle (2x2) operator")
+    particle, n_particles = _index(particle), _index(n_particles)
     if not 1 <= n_particles <= 4:
         raise ValueError(f"particle count must be in 1..4, got {n_particles}")
     if not 1 <= particle <= n_particles:
@@ -71,12 +71,6 @@ def embed(op: Observable, particle: int, n_particles: int) -> Observable:
 # never stored, so they raise on every call.  setdefault hands threads that
 # race on a first call the same instance.
 _SHARED: dict[tuple, Observable] = {}
-
-
-def _index(value) -> int:
-    if isinstance(value, bool):
-        raise TypeError(f"an index must be an int, not bool ({value!r})")
-    return operator.index(value)
 
 
 def _shared(build, *args) -> Observable:

@@ -7,11 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, basis_index
-from .measurement import ZERO_PROBABILITY_TOL
-
-_CONSTRAINT_TOL = 1e-12
-_NONZERO_TOL = 1e-12
+from .hilbert import SCALAR_TOL, StateVector, basis_index
 
 __all__ = ["PsiParams", "psi_state", "hardy_state", "ghz_mermin_state", "random_psi_params"]
 
@@ -22,9 +18,9 @@ class PsiParams:
 
     Both amplitudes may be complex; every certainty and probability statement
     made about the resulting state depends only on |a| and |b|.  |a|^2 must
-    exceed ``ZERO_PROBABILITY_TOL``: the scenarios condition on sigma_z
-    outcomes of probability 2|a|^2 and 3|a|^2, and an outcome at or below
-    that tolerance counts as impossible.
+    exceed ``SCALAR_TOL``: the scenarios condition on sigma_z outcomes of
+    probability 2|a|^2 and 3|a|^2, and an outcome at or below that tolerance
+    counts as impossible.
     """
 
     a: complex
@@ -35,12 +31,12 @@ class PsiParams:
         object.__setattr__(self, "b", complex(self.b))
         if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
             raise ValueError("amplitudes must be finite")
-        if abs(self.a) <= _NONZERO_TOL or abs(self.b) <= _NONZERO_TOL:
+        if abs(self.a) <= SCALAR_TOL or abs(self.b) <= SCALAR_TOL:
             raise ValueError("both amplitudes must be nonzero (a*b != 0)")
-        if abs(self.a) ** 2 <= ZERO_PROBABILITY_TOL:
-            raise ValueError(f"|a|^2 must exceed the zero-probability tolerance {ZERO_PROBABILITY_TOL:g}")
+        if abs(self.a) ** 2 <= SCALAR_TOL:
+            raise ValueError(f"|a|^2 must exceed the zero-probability tolerance {SCALAR_TOL:g}")
         residual = 3.0 * abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0
-        if abs(residual) > _CONSTRAINT_TOL:
+        if abs(residual) > SCALAR_TOL:
             raise ValueError(f"3|a|^2+|b|^2 must equal 1 (off by {residual:.3e})")
 
 

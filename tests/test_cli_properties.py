@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from serlab.cli import main
+from serlab.hilbert import SCALAR_TOL
 from serlab.inference import SCENARIOS
-from serlab.measurement import ZERO_PROBABILITY_TOL
 
 PSI_SCENARIOS = ("epr-psi", "bell-hardy")
 PSI_TARGETS = {
@@ -40,10 +40,10 @@ def amplitude_flags(draw):
     |a|^2 ranges over everything ``PsiParams`` accepts: above the
     zero-probability tolerance, which the sigma_z post-selection must clear.
     """
-    mod_a_sq = draw(st.floats(ZERO_PROBABILITY_TOL, 1.0 / 3.0, exclude_min=True, exclude_max=True))
+    mod_a_sq = draw(st.floats(SCALAR_TOL, 1.0 / 3.0, exclude_min=True, exclude_max=True))
     phase_a, phase_b = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
     a = math.sqrt(mod_a_sq) * complex(math.cos(phase_a), math.sin(phase_a))
-    assume(abs(a) ** 2 > ZERO_PROBABILITY_TOL)  # the rounding of sqrt and the phase may land on the bound
+    assume(abs(a) ** 2 > SCALAR_TOL)  # the rounding of sqrt and the phase may land on the bound
     b = math.sqrt(1.0 - 3.0 * mod_a_sq) * complex(math.cos(phase_b), math.sin(phase_b))
     parts = {"a-re": a.real, "a-im": a.imag, "b-re": b.real, "b-im": b.imag}
     return [f"--{flag}={value!r}" for flag, value in parts.items()]

@@ -10,7 +10,6 @@ from serlab.hilbert import (
     StateVector,
     acts_only_on,
     basis_index,
-    basis_pattern,
     basis_state,
     common_eigenstate_dim,
     has_common_eigenstate,
@@ -33,13 +32,27 @@ def test_basis_index_convention():
     assert basis_index("+-+") == 2
     assert basis_index("-++") == 4
     assert basis_index("---") == 7
-    assert basis_pattern(2, 3) == "+-+"
 
 
 def test_basis_state_roundtrip():
     ket = basis_state("+-")
     assert ket.amplitude(1) == 1.0
     assert ket.amplitude("+-") == 1.0
+
+
+@pytest.mark.parametrize(
+    "which, error, match",
+    [
+        (-1, ValueError, "out of range"),  # would read index 3 through negative indexing
+        (-3, ValueError, "out of range"),
+        (4, ValueError, "out of range"),
+        (True, TypeError, "not bool"),  # would read index 1
+        (1.0, TypeError, "integer"),
+    ],
+)
+def test_amplitude_rejects_an_index_outside_the_basis(which, error, match):
+    with pytest.raises(error, match=match):
+        basis_state("+-").amplitude(which)
 
 
 def test_state_vector_rejects_bad_input():
@@ -152,7 +165,8 @@ def test_spectral_reconstruction_random():
         for _ in range(20):
             mat = random_hermitian(rng, dim)
             spec = Observable(mat).spectral()
-            assert np.max(np.abs(spec.reconstruct() - mat)) < 1e-10
+            rebuilt = sum(value * p for value, p in zip(spec.eigenvalues, spec.projectors))
+            assert np.max(np.abs(rebuilt - mat)) < 1e-10
             total = sum(spec.projectors)
             assert np.max(np.abs(total - np.eye(dim))) < 1e-10
             for i, p in enumerate(spec.projectors):
@@ -285,10 +299,9 @@ REGIONS = [region for k in (1, 2, 3) for region in itertools.combinations((1, 2,
 def test_memoised_locality_matches_a_fresh_copy(named_operators):
     for op in named_operators:
         for region in REGIONS:
-            for tol in (1e-10, 0.0, 2.0):
-                expected = acts_only_on(Observable(op.matrix), region, 3, tol)
-                assert acts_only_on(op, region, 3, tol) is expected
-                assert acts_only_on(op, region, 3, tol) is expected
+            expected = acts_only_on(Observable(op.matrix), region, 3)
+            assert acts_only_on(op, region, 3) is expected
+            assert acts_only_on(op, region, 3) is expected
 
 
 def test_memoised_locality_still_validates_every_call():

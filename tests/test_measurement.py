@@ -186,10 +186,9 @@ def test_commutes_dim_mismatch():
 
 def test_memoised_commutes_matches_fresh_copies(named_operators):
     for a, b in itertools.product(named_operators, repeat=2):
-        for tol in (1e-10, 0.0, 3.0):
-            expected = commutes(Observable(a.matrix), Observable(b.matrix), tol)
-            assert commutes(a, b, tol) is expected
-            assert commutes(a, b, tol) is expected
+        expected = commutes(Observable(a.matrix), Observable(b.matrix))
+        assert commutes(a, b) is expected
+        assert commutes(a, b) is expected
 
 
 def test_caller_observable_is_freed_after_memoised_facts():

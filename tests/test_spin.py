@@ -77,7 +77,6 @@ def test_hardy_projector_action():
     assert np.allclose(pi.matrix @ minus_minus.amplitudes, 0.0)
     plus_plus = basis_state("++")
     assert np.allclose(pi.matrix @ plus_plus.amplitudes, plus_plus.amplitudes)
-    assert pi.is_projector()
     assert np.allclose(pi.matrix @ pi.matrix, pi.matrix)
 
 
@@ -220,6 +219,9 @@ def test_distinct_arguments_give_distinct_instances():
         (mermin_A, (1.0,), TypeError),
         (mermin_B, (np.float64(2),), TypeError),
         (spin_product, (Axis.X, 3.0), TypeError),
+        (embed, (pauli(Axis.X), True, 3), TypeError),
+        (embed, (pauli(Axis.X), 1, True), TypeError),
+        (embed, (pauli(Axis.X), 2.0, 3), TypeError),
     ],
 )
 def test_named_operator_factories_raise_on_every_call(factory, args, error):

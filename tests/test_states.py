@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from serlab.hilbert import basis_state, tensor
+from serlab.hilbert import SCALAR_TOL, basis_state, tensor
 from serlab.measurement import (
-    ZERO_PROBABILITY_TOL,
     OutcomeAssignment,
     collapse,
     conditional_probability,
@@ -35,12 +34,12 @@ def test_psi_params_validation():
 
 def test_psi_params_reject_a_below_zero_probability_tolerance():
     # the scenarios condition on sigma_z outcomes of probability 2|a|^2, which must stay above it
-    at_bound = np.sqrt(ZERO_PROBABILITY_TOL)
+    at_bound = np.sqrt(SCALAR_TOL)
     for a in (at_bound, 7e-7, 1e-9):
         with pytest.raises(ValueError, match="zero-probability tolerance"):
             PsiParams(a, np.sqrt(1.0 - 3.0 * a**2))
     above = np.nextafter(at_bound, 1.0)
-    assert abs(above) ** 2 > ZERO_PROBABILITY_TOL
+    assert abs(above) ** 2 > SCALAR_TOL
     PsiParams(above, np.sqrt(1.0 - 3.0 * above**2))
 
 
@@ -59,7 +58,7 @@ def test_psi_collapse_on_third_particle_gives_hardy_product():
     state = psi_state(PsiParams(0.5, 0.5))
     collapsed = collapse(state, spin(Axis.Z, 3, 3), +1.0)
     expected = tensor(hardy_state(), basis_state("+"))
-    assert collapsed.parallel_to(expected, tol=1e-12)
+    assert collapsed.parallel_to(expected)
 
 
 def test_hardy_state_structure():
@@ -122,7 +121,7 @@ def test_psi_property_suite_random_parameters():
         assert p_xxz == pytest.approx(abs(params.a) ** 2 / 4.0, abs=1e-12)
 
         collapsed = collapse(state, sz[3], +1.0)
-        assert collapsed.parallel_to(tensor(eta, ket_plus), tol=1e-12)
+        assert collapsed.parallel_to(tensor(eta, ket_plus))
 
 
 def test_random_psi_params_respect_constraint():
