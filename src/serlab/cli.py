@@ -21,10 +21,14 @@ from .states import PsiParams
 __all__ = ["RunConfig", "run_command", "main"]
 
 _FLOAT_OPTIONS = {"--a-re", "--a-im", "--b-re", "--b-im", "--tolerance"}
+_SCENARIO_CHOICES = (*SCENARIOS, "all")
+_FORMATS = ("text", "json")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's settings; construction applies the CLI's rules, raising ``ValueError`` at the first broken."""
+
     scenario: str = "all"
     a_re: float = 0.5
     a_im: float = 0.0
@@ -35,6 +39,20 @@ class RunConfig:
     tolerance: float = CERTAINTY_TOL
     format: str = "text"
     flip_claim: int | None = None
+
+    def __post_init__(self):
+        if self.scenario not in _SCENARIO_CHOICES:
+            raise ValueError(f"--scenario must be one of {', '.join(_SCENARIO_CHOICES)}; got {self.scenario!r}")
+        if self.format not in _FORMATS:
+            raise ValueError(f"--format must be text or json, got {self.format!r}")
+        if self.flip_claim is not None and self.scenario == "all":
+            raise ValueError("--flip-claim requires a single --scenario")
+        if not 0.0 <= self.tolerance < 1.0:
+            raise ValueError(f"--tolerance must be a finite number in [0, 1), got {self.tolerance}")
+        if any(SCENARIO_TABLE[name].needs_params for name in self.selected()):
+            self.psi_params()
+        if self.trials < 1:
+            raise ValueError("--trials must be positive")
 
     def selected(self) -> list[str]:
         return list(SCENARIOS) if self.scenario == "all" else [self.scenario]
@@ -219,8 +237,11 @@ def run_command(command: str, config: RunConfig, out=None) -> int:
     """Run ``verify`` (the analytic checks) or ``sample`` (Monte Carlo calibration) and report.
 
     Returns the exit code: 0 when every check passes, 1 when one fails (named
-    on stderr), 2 for a parameter error.
+    on stderr), 2 for an unknown command or a parameter error.
     """
+    if command not in ("verify", "sample"):
+        print(f"error: unknown command {command!r}; expected verify or sample", file=sys.stderr)
+        return 2
     try:
         reports = _run_reports(command, config)
     except ValueError as exc:
@@ -247,7 +268,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     d = RunConfig()  # the one source of every default
     parser.add_argument(
         "--scenario",
-        choices=list(SCENARIOS) + ["all"],
+        choices=_SCENARIO_CHOICES,
         default=d.scenario,
         help=f"which scenario to run (default: {d.scenario})",
     )
@@ -260,7 +281,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tolerance", type=float, default=d.tolerance, help=f"certainty tolerance (default {d.tolerance:g})"
     )
-    parser.add_argument("--format", choices=["text", "json"], default=d.format, help="report format")
+    parser.add_argument("--format", choices=_FORMATS, default=d.format, help="report format")
 
 
 @functools.cache
@@ -313,22 +334,11 @@ def _is_float(text: str) -> bool:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
-    # sample has no --flip-claim, so that field keeps its default
-    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
-    if config.flip_claim is not None and config.scenario == "all":
-        print("error: --flip-claim requires a single --scenario", file=sys.stderr)
-        return 2
-    if not 0.0 <= config.tolerance < 1.0:
-        print(f"error: --tolerance must be a finite number in [0, 1), got {config.tolerance}", file=sys.stderr)
-        return 2
-    if any(SCENARIO_TABLE[name].needs_params for name in config.selected()):
-        try:
-            config.psi_params()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if config.trials < 1:
-        print("error: --trials must be positive", file=sys.stderr)
+    try:
+        # sample has no --flip-claim, so that field keeps its default
+        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return run_command(args.command, config)
 

@@ -45,6 +45,7 @@ from .hilbert import (
     SCALAR_TOL,
     Observable,
     StateVector,
+    _index,
     acts_only_on,
     has_common_eigenstate,
 )
@@ -92,8 +93,13 @@ class SerClaim:
     target_region: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "inferring_region", frozenset(self.inferring_region))
-        object.__setattr__(self, "target_region", frozenset(self.target_region))
+        n = self.observable.num_particles
+        for name in ("inferring_region", "target_region"):
+            region = frozenset(getattr(self, name))
+            for p in region:
+                if not 1 <= _index(p) <= n:
+                    raise ValueError(f"{name.replace('_', ' ')} {sorted(region)} out of range 1..{n}")
+            object.__setattr__(self, name, region)
         object.__setattr__(self, "predicted_value", float(self.predicted_value))
         try:
             self.observable.spectral().index_of(self.predicted_value)
@@ -119,7 +125,12 @@ class Certification:
 
 
 def certify_ser(state: StateVector, claim: SerClaim, tolerance: float = CERTAINTY_TOL) -> Certification:
-    """Check the three SER clauses; failures are verdicts, never exceptions."""
+    """Check the three SER clauses; failures are verdicts, never exceptions.
+
+    A ``tolerance`` outside ``[0, 1)`` (NaN and infinities included) raises ``ValueError``.
+    """
+    if not 0.0 <= tolerance < 1.0:
+        raise ValueError(f"tolerance must be a finite number in [0, 1), got {tolerance}")
     n = state.num_particles
     overlap = claim.inferring_region & claim.target_region
     if overlap:

@@ -89,7 +89,7 @@ class OutcomeAssignment:
             dim = first.dim
         elif dim is None:
             raise ValueError("an empty assignment needs an explicit dim")
-        self._indices = tuple(_spectral_index(obs, value, dim) for obs, value in pairs)
+        self._indices = tuple(_spectral_index(obs, value) for obs, value in pairs)
         _check_commuting([obs for obs, _ in pairs])
         self._pairs = pairs
         self._dim = dim
@@ -174,10 +174,8 @@ class MeasurementRecord:
     post_state: StateVector
 
 
-def _spectral_index(obs: Observable, value: float, dim: int) -> int:
-    """Index of ``value`` in the spectrum of ``obs``, which must act on dimension ``dim``."""
-    if obs.dim != dim:
-        raise ValueError("all observables in an assignment must share a dimension")
+def _spectral_index(obs: Observable, value: float) -> int:
+    """Index of ``value`` in the spectrum of ``obs``."""
     try:
         return obs.spectral().index_of(value)
     except ValueError:
@@ -204,10 +202,7 @@ def _require_commuting(observables) -> list[Observable]:
     obs = list(observables)
     if not obs:
         raise ValueError("need at least one observable")
-    dim = obs[0].dim
-    if any(o.dim != dim for o in obs):
-        raise ValueError("all observables must act on the same space")
-    _check_commuting(obs)
+    _check_commuting(obs)  # commutes() rejects a pair on different spaces
     return obs
 
 

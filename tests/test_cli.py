@@ -13,6 +13,7 @@ from serlab.cli import RunConfig, dumps, main, run_command
 CHECK_FIELDS = {"description", "anchor", "expected", "computed", "pass"}
 TOP_FIELDS = {"scenario", "parameters", "seed", "checks", "sampling", "verdicts"}
 spin_module = importlib.import_module("serlab.spin")  # the package exports a function named spin
+_OFF_CONSTRAINT = "error: 3|a|^2+|b|^2 must equal 1 (off by 1.680e+00)"
 
 
 def run_verify(**kwargs):
@@ -55,7 +56,7 @@ def test_verify_all_scenarios():
 
 def test_verify_invalid_params_exit_2(capsys):
     assert main(["verify", "--scenario", "all", "--a-re", "0.9"]) == 2
-    assert "3|a|^2+|b|^2 must equal 1" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", _OFF_CONSTRAINT + "\n")
 
 
 def test_ghz_scenarios_ignore_params():
@@ -72,7 +73,7 @@ def test_verify_flip_claim_exit_1(capsys):
 
 def test_flip_claim_requires_single_scenario(capsys):
     assert main(["verify", "--flip-claim", "0"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr() == ("", "error: --flip-claim requires a single --scenario\n")
 
 
 def test_sample_epr_psi_json():
@@ -133,8 +134,34 @@ def test_unknown_scenario_exits_2():
 
 
 def test_trials_must_be_positive(capsys):
-    assert main(["sample", "--scenario", "bell-ghz", "--trials", "0"]) == 2
-    capsys.readouterr()
+    for command in ("verify", "sample"):
+        assert main([command, "--scenario", "bell-ghz", "--trials", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: --trials must be positive\n")
+
+
+# argv -> the one stderr line of its exit 2; an argv that breaks several rules is named by the first
+CLI_REJECTIONS = [
+    ("sample --scenario epr-psi --a-re 0.9", _OFF_CONSTRAINT),
+    ("verify --scenario bell-hardy --a-re 0 --b-re 1", "error: both amplitudes must be nonzero (a*b != 0)"),
+    ("verify --scenario epr-psi --flip-claim 3", "error: flip index 3 out of range; scenario emits 3 claims"),
+    ("verify --scenario epr-ghz --flip-claim -1", "error: flip index -1 out of range; scenario emits 24 claims"),
+    (
+        "verify --scenario all --flip-claim 0 --tolerance 2 --a-re 0.9 --trials 0",
+        "error: --flip-claim requires a single --scenario",
+    ),
+    (
+        "verify --scenario epr-psi --tolerance 2 --a-re 0.9 --trials 0",
+        "error: --tolerance must be a finite number in [0, 1), got 2.0",
+    ),
+    ("sample --scenario bell-hardy --a-re 0.9 --trials 0", _OFF_CONSTRAINT),
+    ("verify --scenario epr-psi --flip-claim 7 --a-re 0.9", _OFF_CONSTRAINT),
+]
+
+
+@pytest.mark.parametrize("argv, line", CLI_REJECTIONS, ids=[argv for argv, _ in CLI_REJECTIONS])
+def test_cli_rejection(argv, line, capsys):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", line + "\n")
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "1", "1.5"])
@@ -144,10 +171,33 @@ def test_tolerance_outside_unit_interval_exits_2(command, tolerance, capsys):
     if command == "verify":
         argv += ["--flip-claim", "0"]
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("error: --tolerance")
+    line = f"error: --tolerance must be a finite number in [0, 1), got {float(tolerance)}\n"
+    assert capsys.readouterr() == ("", line)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"scenario": "nope"}, "--scenario must be one of epr-psi, epr-ghz, bell-hardy, bell-ghz, all; got 'nope'"),
+        (
+            {"scenario": "epr-psi", "tolerance": math.inf, "flip_claim": 0},
+            "--tolerance must be a finite number in [0, 1), got inf",
+        ),
+        ({"tolerance": math.nan}, "--tolerance must be a finite number in [0, 1), got nan"),
+        ({"tolerance": -1e-12}, "--tolerance must be a finite number in [0, 1), got -1e-12"),
+        ({"format": "xml"}, "--format must be text or json, got 'xml'"),
+        ({"flip_claim": 0}, "--flip-claim requires a single --scenario"),
+    ],
+)
+def test_run_config_rejects_what_main_rejects(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        RunConfig(**kwargs)
+    assert str(exc.value) == message
+
+
+def test_run_command_rejects_unknown_command(capsys):
+    assert run_command("bogus", RunConfig()) == 2
+    assert capsys.readouterr() == ("", "error: unknown command 'bogus'; expected verify or sample\n")
 
 
 @pytest.mark.parametrize("flag", ["--a-re", "--a-im", "--b-re", "--b-im"])

@@ -51,8 +51,9 @@ def test_certify_rejects_uncertain_claim():
     assert cert.failed_clause == "not-certain"
 
 
-def test_certify_nan_tolerance_never_certifies():
-    state = psi_state(DEFAULT)
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf"), -1e-12, 1.0])
+def test_certify_rejects_tolerance_outside_unit_interval(tolerance):
+    # a tolerance is not part of the claim, so a bad one raises instead of deciding a verdict
     claim = SerClaim(
         spin(Axis.X, 2, 3),
         -1.0,
@@ -60,9 +61,19 @@ def test_certify_nan_tolerance_never_certifies():
         frozenset({1}),
         frozenset({2}),
     )
-    cert = certify_ser(state, claim, tolerance=float("nan"))
-    assert not cert
-    assert cert.failed_clause == "not-certain"
+    with pytest.raises(ValueError, match=r"tolerance must be a finite number in \[0, 1\)"):
+        certify_ser(psi_state(DEFAULT), claim, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("region", ["inferring_region", "target_region"])
+@pytest.mark.parametrize(
+    "particles, error", [({1.5}, TypeError), ({True}, TypeError), ({7}, ValueError), ({0}, ValueError)]
+)
+def test_ser_claim_rejects_malformed_region(region, particles, error):
+    regions = {"inferring_region": {1}, "target_region": {2}} | {region: particles}
+    conditioning = OutcomeAssignment([(spin(Axis.Z, 1, 3), +1.0)])
+    with pytest.raises(error):
+        SerClaim(spin(Axis.X, 2, 3), -1.0, conditioning, **regions)
 
 
 @pytest.mark.parametrize("value", [float("nan"), 0.5])

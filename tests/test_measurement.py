@@ -10,7 +10,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from serlab.hilbert import _PARTNERS, Observable, StateVector, acts_only_on, basis_state, has_common_eigenstate
+from serlab.hilbert import (
+    _PARTNERS,
+    Observable,
+    StateVector,
+    acts_only_on,
+    basis_state,
+    common_eigenstate_dim,
+    has_common_eigenstate,
+)
 from serlab.inference import SCENARIO_TABLE, SCENARIOS, run_scenario
 from serlab.measurement import (
     _CHUNK_TRIALS,
@@ -182,6 +190,22 @@ def test_commutes_dim_mismatch():
     for _ in range(2):
         with pytest.raises(ValueError):
             commutes(pauli(Axis.Z), spin(Axis.Z, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda eight, four: OutcomeAssignment([(eight, 1.0), (four, 1.0)]),
+        lambda eight, four: sample_counts(ghz_mermin_state(), [eight, four], seed=0, trials=10),
+        lambda eight, four: sample_joint(ghz_mermin_state(), [eight, four], seed=0, trials=10),
+        lambda eight, four: commutes(eight, four),
+        lambda eight, four: common_eigenstate_dim([eight, four], [1.0, 1.0]),
+    ],
+    ids=["OutcomeAssignment", "sample_counts", "sample_joint", "commutes", "common_eigenstate_dim"],
+)
+def test_observables_on_different_spaces_are_rejected(call):
+    with pytest.raises(ValueError, match="space"):
+        call(spin(Axis.Z, 1, 3), spin(Axis.Z, 1, 2))
 
 
 def test_memoised_commutes_matches_fresh_copies(named_operators):

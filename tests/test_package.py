@@ -1,0 +1,28 @@
+"""Tests for the package namespace: what ``import serlab`` exports and loads."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import serlab
+
+LIBRARY_MODULES = ("hilbert", "spin", "states", "measurement", "inference")
+
+
+def test_package_reexports_each_module_all():
+    modules = [importlib.import_module(f"serlab.{name}") for name in LIBRARY_MODULES]
+    assert serlab.__all__ == [name for module in modules for name in module.__all__]
+    assert {"SCENARIO_TABLE", "NEGLIGIBLE_PROBABILITY"} <= set(serlab.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(serlab, name) is getattr(module, name)
+    assert serlab.spin is modules[1].spin  # the function, not the submodule of the same name
+
+
+def test_import_loads_the_library_modules_and_not_the_cli():
+    src = os.path.dirname(os.path.dirname(serlab.__file__))
+    code = "import sys, serlab; print(' '.join(sorted(m for m in sys.modules if m.startswith('serlab.'))))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == sorted(f"serlab.{name}" for name in LIBRARY_MODULES)
