@@ -12,10 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
-from .inference import CERTAINTY_TOL, SCENARIO_TABLE, SCENARIOS, ScenarioReport, run_scenario, sample_scenario
+from .hilbert import _index
+from .inference import (
+    CERTAINTY_TOL, SCENARIO_TABLE, SCENARIOS, ScenarioReport, _outcome_text, run_scenario, sample_scenario
+)
 from .states import PsiParams
 
 __all__ = ["RunConfig", "run_command", "main"]
@@ -27,7 +31,10 @@ _FORMATS = ("text", "json")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run's settings; construction applies the CLI's rules, raising ``ValueError`` at the first broken."""
+    """One run's settings; construction applies the CLI's rules, raising ``ValueError`` at the first broken.
+
+    A bool or float ``trials``, ``seed`` or ``flip_claim`` raises ``TypeError``; a numpy integer becomes an int.
+    """
 
     scenario: str = "all"
     a_re: float = 0.5
@@ -51,6 +58,9 @@ class RunConfig:
             raise ValueError(f"--tolerance must be a finite number in [0, 1), got {self.tolerance}")
         if any(SCENARIO_TABLE[name].needs_params for name in self.selected()):
             self.psi_params()
+        for name in ("trials", "seed", "flip_claim"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _index(getattr(self, name)))
         if self.trials < 1:
             raise ValueError("--trials must be positive")
 
@@ -64,47 +74,25 @@ class RunConfig:
 # --- deterministic JSON ----------------------------------------------------
 
 
-def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"cannot serialize non-finite float {x}")
-    return format(float(x), ".17g")
-
-
-def _emit(value, out: list) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True or value is False:
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_format_float(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(item, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def dumps(value) -> str:
-    out: list = []
-    _emit(value, out)
-    return "".join(out)
+    """``value`` as JSON: fields in insertion order, floats to 17 significant digits, non-finite floats refused."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite float {value}")
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(str(key))}:{dumps(item)}" for key, item in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(dumps, value)) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 # --- report payloads --------------------------------------------------------
@@ -187,25 +175,19 @@ def _render_text(report: ScenarioReport, out) -> None:
             file=out,
         )
         for entry in stats.entries:
-            tup = "(" + ",".join(f"{v:+g}" for v in entry.outcomes) + ")"
             z_text = "n/a" if entry.z is None else f"{entry.z:+.3f}"
             print(
-                f"  {tup}: expected {entry.expected:.6g}, observed {entry.frequency:.6g} "
+                f"  {_outcome_text(entry.outcomes)}: expected {entry.expected:.6g}, observed {entry.frequency:.6g} "
                 f"({entry.count} counts), z = {z_text}",
                 file=out,
             )
         if stats.unobserved_admissible:
-            missing = ", ".join(
-                "(" + ",".join(f"{v:+g}" for v in tup) + ")" for tup in stats.unobserved_admissible
-            )
+            missing = ", ".join(map(_outcome_text, stats.unobserved_admissible))
             print(f"  note: admissible but unobserved outcomes: {missing}", file=out)
-    verdicts = []
-    if report.incompleteness_verdict is not None:
-        verdicts.append(f"incompleteness={'true' if report.incompleteness_verdict else 'false'}")
-    if report.contradiction_verdict is not None:
-        verdicts.append(f"contradiction={'true' if report.contradiction_verdict else 'false'}")
-    if verdicts:
-        print("verdicts: " + " ".join(verdicts), file=out)
+    verdicts = {"incompleteness": report.incompleteness_verdict, "contradiction": report.contradiction_verdict}
+    shown = " ".join(f"{kind}={_value_text(verdict)}" for kind, verdict in verdicts.items() if verdict is not None)
+    if shown:
+        print(f"verdicts: {shown}", file=out)
     print(f"result: {'all checks passed' if report.passed() else 'CHECK FAILURE'}", file=out)
 
 
@@ -221,15 +203,17 @@ def _value_text(value) -> str:
 
 
 def _run_reports(command: str, config: RunConfig) -> list[ScenarioReport]:
+    if command not in ("verify", "sample"):
+        raise ValueError(f"unknown command {command!r}; expected verify or sample")
+    if command == "sample" and config.flip_claim is not None:
+        raise ValueError("--flip-claim applies to verify only; sample has no claims to flip")
     reports = []
     for name in config.selected():
         params = config.psi_params() if SCENARIO_TABLE[name].needs_params else None
         if command == "sample":
             reports.append(sample_scenario(name, params, seed=config.seed, trials=config.trials))
         else:
-            reports.append(
-                run_scenario(name, params, tolerance=config.tolerance, flip_claim=config.flip_claim)
-            )
+            reports.append(run_scenario(name, params, tolerance=config.tolerance, flip_claim=config.flip_claim))
     return reports
 
 
@@ -239,9 +223,6 @@ def run_command(command: str, config: RunConfig, out=None) -> int:
     Returns the exit code: 0 when every check passes, 1 when one fails (named
     on stderr), 2 for an unknown command or a parameter error.
     """
-    if command not in ("verify", "sample"):
-        print(f"error: unknown command {command!r}; expected verify or sample", file=sys.stderr)
-        return 2
     try:
         reports = _run_reports(command, config)
     except ValueError as exc:

@@ -122,11 +122,19 @@ class StateVector:
         return f"StateVector(dim={self.dim})"
 
 
+def _ket(amplitudes: dict) -> np.ndarray:
+    """The amplitude array of ``{pattern: amplitude}`` over same-length +/- patterns, zero elsewhere."""
+    indices = [basis_index(pattern) for pattern in amplitudes]
+    dim = 2 ** len(next(iter(amplitudes)))
+    _check_dim(dim, "state")  # before the allocation
+    amps = np.zeros(dim, dtype=complex)
+    amps[indices] = list(amplitudes.values())
+    return amps
+
+
 def basis_state(pattern: str) -> StateVector:
     """The product-basis ket for a +/- pattern."""
-    amps = np.zeros(2 ** len(pattern), dtype=complex)
-    amps[basis_index(pattern)] = 1.0
-    return StateVector(amps)
+    return StateVector(_ket({pattern: 1.0}))
 
 
 @dataclass(frozen=True)
@@ -335,8 +343,8 @@ def acts_only_on(op: Observable, particles, n_particles: int) -> bool:
     ``OPERATOR_TOL``; the largest entrywise deviation is memoised on ``op``
     per region.
     """
-    n_particles = operator.index(n_particles)
-    region = tuple(sorted({operator.index(p) for p in particles}))
+    n_particles = _index(n_particles)
+    region = tuple(sorted({_index(p) for p in particles}))
     if op.dim != 2**n_particles:
         raise ValueError(f"operator dimension {op.dim} does not match {n_particles} particles")
     if any(p < 1 or p > n_particles for p in region):

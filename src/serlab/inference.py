@@ -55,6 +55,8 @@ from .measurement import (
     IncompatibleObservablesError,
     OutcomeAssignment,
     ZeroProbabilityError,
+    _label,
+    _spectral_index,
     conditional_probability,
     outcome_probability,
     sample_counts,
@@ -101,15 +103,10 @@ class SerClaim:
                     raise ValueError(f"{name.replace('_', ' ')} {sorted(region)} out of range 1..{n}")
             object.__setattr__(self, name, region)
         object.__setattr__(self, "predicted_value", float(self.predicted_value))
-        try:
-            self.observable.spectral().index_of(self.predicted_value)
-        except ValueError:
-            label = self.observable.label or "observable"
-            raise ValueError(f"predicted value {self.predicted_value} is not in the spectrum of {label}") from None
+        _spectral_index(self.observable, self.predicted_value)
 
     def describe(self) -> str:
-        label = self.observable.label or "observable"
-        return f"{label}={self.predicted_value:+g} given {self.conditioning.describe()}"
+        return f"{_label(self.observable)}={self.predicted_value:+g} given {self.conditioning.describe()}"
 
 
 @dataclass(frozen=True)
@@ -145,8 +142,7 @@ def certify_ser(state: StateVector, claim: SerClaim, tolerance: float = CERTAINT
             return Certification(
                 False,
                 "conditioning-not-local",
-                f"{obs.label or 'conditioning observable'} acts outside "
-                f"the inferring region {sorted(claim.inferring_region)}",
+                f"{_label(obs)} acts outside the inferring region {sorted(claim.inferring_region)}",
             )
     try:
         p = conditional_probability(state, (claim.observable, claim.predicted_value), claim.conditioning)
@@ -245,6 +241,11 @@ class Scenario:
     @property
     def needs_params(self) -> bool:
         return self.post_selection is not None
+
+
+def _outcome_text(outcomes) -> str:
+    """An outcome tuple as reports write it, e.g. ``(+1,-1,+1)``."""
+    return "(" + ",".join(f"{v:+g}" for v in outcomes) + ")"
 
 
 def _no_common_eigenstate(ops: list[Observable], anchor: str) -> Check:
@@ -368,6 +369,7 @@ def _prepare(scenario: str, params: PsiParams | None) -> tuple[Scenario, StateVe
 
 def _flip(claims: list[SerClaim], which: int) -> None:
     """Replace the predicted value of one claim by a different eigenvalue (fault injection)."""
+    which = _index(which)
     if not 0 <= which < len(claims):
         raise ValueError(f"flip index {which} out of range; scenario emits {len(claims)} claims")
     claim = claims[which]
@@ -474,7 +476,7 @@ def sample_scenario(
         if 0.0 < p < 1.0:
             z = float((freq - p) / np.sqrt(p * (1.0 - p) / trials))
         entries.append(FrequencyEntry(outcomes=tup, expected=p, count=count, frequency=freq, z=z))
-        tup_label = "(" + ",".join(f"{v:+g}" for v in tup) + ")"
+        tup_label = _outcome_text(tup)
         if z is not None:
             report.checks.append(
                 Check(
@@ -516,7 +518,7 @@ def sample_scenario(
         trials=trials,
         seed=seed,
         algorithm=RNG_ALGORITHM,
-        observable_labels=tuple(o.label or "O" for o in observables),
+        observable_labels=tuple(map(_label, observables)),
         entries=entries,
         unobserved_admissible=unobserved,
     )

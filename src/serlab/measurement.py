@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .hilbert import OPERATOR_TOL, SCALAR_TOL, Observable, StateVector, joint_fact
+from .hilbert import OPERATOR_TOL, SCALAR_TOL, Observable, StateVector, _index, joint_fact
 
 # an outcome of Born probability at or below this is never drawn, nor listed as admissible when unseen
 NEGLIGIBLE_PROBABILITY = 1e-15
@@ -155,7 +155,7 @@ def collapse(state: StateVector, observable: Observable, value: float) -> StateV
     """Post-measurement state: eigenprojector applied and renormalized."""
     if observable.dim != state.dim:
         raise ValueError("state and observable live in different spaces")
-    proj = observable.spectral().projector_for(value)
+    proj = observable.spectral().projectors[_spectral_index(observable, value)]
     amps = proj @ state.amplitudes
     weight = float(np.real(np.vdot(amps, amps)))
     if weight <= SCALAR_TOL:
@@ -196,14 +196,6 @@ def _check_commuting(obs: list[Observable]) -> None:
     for a, b in itertools.combinations(obs, 2):
         if not commutes(a, b):
             raise IncompatibleObservablesError(f"{_label(a)} and {_label(b)} do not commute")
-
-
-def _require_commuting(observables) -> list[Observable]:
-    obs = list(observables)
-    if not obs:
-        raise ValueError("need at least one observable")
-    _check_commuting(obs)  # commutes() rejects a pair on different spaces
-    return obs
 
 
 class _BranchTree:
@@ -260,15 +252,19 @@ def _sample_leaves(state, observables, seed, trials):
     of ``k`` draws, so trial ``t`` still uses offsets ``t*k .. t*k + k - 1``
     while memory stays flat in ``trials``.
     """
-    obs = _require_commuting(observables)
+    obs = list(observables)
+    if not obs:
+        raise ValueError("need at least one observable")
+    _check_commuting(obs)  # commutes() rejects a pair on different spaces
     if obs[0].dim != state.dim:
         raise ValueError("state and observables live in different spaces")
+    seed, trials = _index(seed), _index(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     tree = _BranchTree(state, obs)
 
     def chunks():
-        gen = np.random.Generator(np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF))
+        gen = np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
         for start in range(0, trials, _CHUNK_TRIALS):
             yield tree.descend(gen.random((min(_CHUNK_TRIALS, trials - start), len(obs))))
 

@@ -105,20 +105,28 @@ def hardy_projector(n_particles: int = 2) -> Observable:
 
 
 def _hardy_projector(n_particles: int) -> Observable:
-    matrix = np.eye(4, dtype=complex)
-    matrix[3, 3] = 0.0
-    if n_particles == 3:
-        matrix = np.kron(matrix, np.eye(2, dtype=complex))
-    return Observable(matrix, label="pi(1+2)")
+    diagonal = np.ones(2**n_particles, dtype=complex)
+    diagonal[3 << (n_particles - 2) :] = 0.0  # particles 1 and 2 both down: the two top index bits set
+    return Observable(np.diag(diagonal), label="pi(1+2)")
 
 
-_A_FACTORS = {1: (None, Axis.X, Axis.Y), 2: (Axis.Y, None, Axis.X), 3: (Axis.X, Axis.Y, None)}
-_B_FACTORS = {1: (None, Axis.Y, Axis.Y), 2: (Axis.Y, None, Axis.Y), 3: (Axis.Y, Axis.Y, None)}
+_MERMIN_FACTORS = {
+    "A": {1: (None, Axis.X, Axis.Y), 2: (Axis.Y, None, Axis.X), 3: (Axis.X, Axis.Y, None)},
+    "B": {1: (None, Axis.Y, Axis.Y), 2: (Axis.Y, None, Axis.Y), 3: (Axis.Y, Axis.Y, None)},
+}
 
 
-def _three_particle_product(factors, label: str) -> Observable:
-    mats = [np.eye(2, dtype=complex) if ax is None else _SIGMA[ax] for ax in factors]
+def _pauli_product(factors, label: str) -> Observable:
+    """The product of one Pauli factor per particle, given by its axis; ``None`` is the identity."""
+    mats = [np.eye(2, dtype=complex) if axis is None else _SIGMA[axis] for axis in factors]
     return Observable(reduce(np.kron, mats), label=label)
+
+
+def _mermin(name: str, j: int) -> Observable:
+    j = _index(j)
+    if j not in (1, 2, 3):
+        raise ValueError(f"index must be 1, 2 or 3, got {j}")
+    return _shared(_pauli_product, _MERMIN_FACTORS[name][j], f"{name}_{j}")
 
 
 def mermin_A(j: int) -> Observable:
@@ -128,10 +136,7 @@ def mermin_A(j: int) -> Observable:
     A_3 = sigma_x(1) sigma_y(2); each has spectrum {-1, +1} with
     multiplicity 4 on the three-particle space.
     """
-    j = _index(j)
-    if j not in (1, 2, 3):
-        raise ValueError(f"index must be 1, 2 or 3, got {j}")
-    return _shared(_three_particle_product, _A_FACTORS[j], f"A_{j}")
+    return _mermin("A", j)
 
 
 def mermin_B(j: int) -> Observable:
@@ -141,10 +146,7 @@ def mermin_B(j: int) -> Observable:
     B_3 = sigma_y(1) sigma_y(2); the three pairwise commute and their
     product is the identity.
     """
-    j = _index(j)
-    if j not in (1, 2, 3):
-        raise ValueError(f"index must be 1, 2 or 3, got {j}")
-    return _shared(_three_particle_product, _B_FACTORS[j], f"B_{j}")
+    return _mermin("B", j)
 
 
 def spin_product(axis: Axis, n_particles: int = 3) -> Observable:
@@ -152,10 +154,5 @@ def spin_product(axis: Axis, n_particles: int = 3) -> Observable:
     n_particles = _index(n_particles)
     if not 2 <= n_particles <= 4:
         raise ValueError(f"particle count must be in 2..4, got {n_particles}")
-    return _shared(_spin_product, axis, n_particles)
-
-
-def _spin_product(axis: Axis, n_particles: int) -> Observable:
-    mats = [_SIGMA[axis]] * n_particles
-    label = "*".join(f"sigma_{axis.value}({k})" for k in range(1, n_particles + 1))
-    return Observable(reduce(np.kron, mats), label=label)
+    label = "*".join(spin(axis, k, n_particles).label for k in range(1, n_particles + 1))
+    return _shared(_pauli_product, (axis,) * n_particles, label)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SCALAR_TOL, StateVector, basis_index
+from .hilbert import SCALAR_TOL, StateVector, _ket
 
 __all__ = ["PsiParams", "psi_state", "hardy_state", "ghz_mermin_state", "random_psi_params"]
 
@@ -31,6 +32,9 @@ class PsiParams:
         object.__setattr__(self, "b", complex(self.b))
         if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
             raise ValueError("amplitudes must be finite")
+        # hypot returns inf where abs() and squaring raise OverflowError
+        if math.hypot(self.a.real, self.a.imag) > 1.0 or math.hypot(self.b.real, self.b.imag) > 1.0:
+            raise ValueError("|a| and |b| must not exceed 1, as 3|a|^2+|b|^2 = 1")
         if abs(self.a) <= SCALAR_TOL or abs(self.b) <= SCALAR_TOL:
             raise ValueError("both amplitudes must be nonzero (a*b != 0)")
         if abs(self.a) ** 2 <= SCALAR_TOL:
@@ -42,29 +46,17 @@ class PsiParams:
 
 def psi_state(params: PsiParams) -> StateVector:
     """a(|+++> - |+-+> - |-++>) + b|--->, dimension 8."""
-    amps = np.zeros(8, dtype=complex)
-    amps[basis_index("+++")] = params.a
-    amps[basis_index("+-+")] = -params.a
-    amps[basis_index("-++")] = -params.a
-    amps[basis_index("---")] = params.b
-    return StateVector(amps, normalize=True)
+    return StateVector(_ket({"+++": params.a, "+-+": -params.a, "-++": -params.a, "---": params.b}), normalize=True)
 
 
 def hardy_state() -> StateVector:
     """(|++> - |+-> - |-+>)/sqrt(3): zero amplitude on |-->, dimension 4."""
-    amps = np.zeros(4, dtype=complex)
-    amps[basis_index("++")] = 1.0
-    amps[basis_index("+-")] = -1.0
-    amps[basis_index("-+")] = -1.0
-    return StateVector(amps / np.sqrt(3.0))
+    return StateVector(_ket({"++": 1.0, "+-": -1.0, "-+": -1.0}) / np.sqrt(3.0))
 
 
 def ghz_mermin_state() -> StateVector:
     """(|+++> - |--->)/sqrt(2), dimension 8."""
-    amps = np.zeros(8, dtype=complex)
-    amps[basis_index("+++")] = 1.0
-    amps[basis_index("---")] = -1.0
-    return StateVector(amps / np.sqrt(2.0))
+    return StateVector(_ket({"+++": 1.0, "---": -1.0}) / np.sqrt(2.0))
 
 
 def random_psi_params(rng: np.random.Generator) -> PsiParams:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from serlab import cli, measurement
@@ -14,6 +15,7 @@ CHECK_FIELDS = {"description", "anchor", "expected", "computed", "pass"}
 TOP_FIELDS = {"scenario", "parameters", "seed", "checks", "sampling", "verdicts"}
 spin_module = importlib.import_module("serlab.spin")  # the package exports a function named spin
 _OFF_CONSTRAINT = "error: 3|a|^2+|b|^2 must equal 1 (off by 1.680e+00)"
+_MODULUS_ABOVE_ONE = "error: |a| and |b| must not exceed 1, as 3|a|^2+|b|^2 = 1"
 
 
 def run_verify(**kwargs):
@@ -127,6 +129,41 @@ def test_json_floats_roundtrip():
     assert parsed["z"][0] == 0.0625
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        ({}, "{}"),
+        ([], "[]"),
+        ((), "[]"),
+        ([[1, [2, []]], [None]], "[[1,[2,[]]],[null]]"),
+        ([True, False, 0, 1], "[true,false,0,1]"),
+        ({"a": {"b": [True]}, 3: "x\"y"}, '{"a":{"b":[true]},"3":"x\\"y"}'),
+        (-0.0, "-0"),
+        (1e-05, "1.0000000000000001e-05"),
+        (0.1, "0.10000000000000001"),
+        (1e22, "1e+22"),
+    ],
+)
+def test_dumps_edge_values(value, text):
+    assert dumps(value) == text
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (math.nan, ValueError),
+        ([1.0, -math.inf], ValueError),
+        ({"x": [math.inf]}, ValueError),
+        (object(), TypeError),
+        ({1, 2}, TypeError),
+        ([1, b"x"], TypeError),
+    ],
+)
+def test_dumps_rejects_non_finite_and_unsupported_values(value, error):
+    with pytest.raises(error, match="cannot serialize"):
+        dumps(value)
+
+
 def test_unknown_scenario_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--scenario", "bogus"])
@@ -155,6 +192,14 @@ CLI_REJECTIONS = [
     ),
     ("sample --scenario bell-hardy --a-re 0.9 --trials 0", _OFF_CONSTRAINT),
     ("verify --scenario epr-psi --flip-claim 7 --a-re 0.9", _OFF_CONSTRAINT),
+    # squaring 1e300, or taking abs() of 1.7e308+1.7e308j, raises OverflowError
+    *(
+        (f"{command} --scenario epr-psi {amplitudes} --trials 10", _MODULUS_ABOVE_ONE)
+        for command in ("verify", "sample")
+        for amplitudes in (
+            "--a-re 1e300", "--a-im 1e300", "--b-re 1e300", "--b-im 1e300", "--a-re 1.7e308 --a-im 1.7e308"
+        )
+    ),
 ]
 
 
@@ -208,6 +253,25 @@ def test_non_finite_amplitudes_exit_2(flag, value, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: amplitudes must be finite\n"
+
+
+def test_sample_rejects_flip_claim(capsys):
+    assert run_command("sample", RunConfig(scenario="epr-psi", flip_claim=0, trials=100)) == 2
+    line = "error: --flip-claim applies to verify only; sample has no claims to flip\n"
+    assert capsys.readouterr() == ("", line)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"trials": 2.5}, {"trials": True}, {"seed": 1.5}, {"seed": False}, {"flip_claim": True}]
+)
+def test_run_config_integer_fields_reject_bool_and_float(kwargs):
+    with pytest.raises(TypeError):
+        RunConfig(scenario="epr-psi", **kwargs)
+
+
+def test_run_config_integer_fields_become_ints():
+    config = RunConfig(scenario="epr-psi", trials=np.int64(5), seed=np.uint8(3), flip_claim=np.int32(1))
+    assert [type(v) for v in (config.trials, config.seed, config.flip_claim)] == [int, int, int]
 
 
 def test_negative_exponent_value_as_separate_argument(capsys):

@@ -55,6 +55,12 @@ def test_amplitude_rejects_an_index_outside_the_basis(which, error, match):
         basis_state("+-").amplitude(which)
 
 
+def test_basis_state_checks_the_dimension_before_allocating():
+    # 2**40 amplitudes would need 16 TiB
+    with pytest.raises(ValueError, match="power of two in"):
+        basis_state("+" * 40)
+
+
 def test_state_vector_rejects_bad_input():
     with pytest.raises(ValueError):
         StateVector([1.0, 0.0, 0.0])  # not a power of two
@@ -282,6 +288,12 @@ def test_acts_only_on_nonlocal_projector():
     assert acts_only_on(pi, {1, 2}, 3)
     assert not acts_only_on(pi, {1}, 3)
     assert not acts_only_on(pi, {2}, 3)
+
+
+@pytest.mark.parametrize("particles, n_particles", [({True}, 3), ({1}, True), ({1.0}, 3), ({1}, 3.0)])
+def test_acts_only_on_rejects_bool_and_float_indices(particles, n_particles):
+    with pytest.raises(TypeError):
+        acts_only_on(spin(Axis.X, 1, 3), particles, n_particles)
 
 
 def test_acts_only_on_identity_anywhere():

@@ -12,7 +12,8 @@ from serlab.inference import (
     run_scenario,
     sample_scenario,
 )
-from serlab.measurement import OutcomeAssignment
+from serlab.hilbert import Observable
+from serlab.measurement import OutcomeAssignment, collapse
 from serlab.spin import Axis, hardy_projector, mermin_A, spin
 from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state, random_psi_params
 
@@ -82,6 +83,29 @@ def test_ser_claim_rejects_off_spectrum_predicted_value(value):
     conditioning = OutcomeAssignment([(spin(Axis.Y, 1, 3), -1.0)])
     with pytest.raises(ValueError, match="not in the spectrum of A_1"):
         SerClaim(mermin_A(1), value, conditioning, frozenset({1}), frozenset({2, 3}))
+
+
+OFF_SPECTRUM_CALLS = {
+    "SerClaim": lambda obs: SerClaim(obs, 0.5, OutcomeAssignment((), dim=8), {2}, {1}),
+    "OutcomeAssignment": lambda obs: OutcomeAssignment([(obs, 0.5)]),
+    "collapse": lambda obs: collapse(psi_state(DEFAULT), obs, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", OFF_SPECTRUM_CALLS.values(), ids=OFF_SPECTRUM_CALLS)
+def test_off_spectrum_value_has_one_message(call):
+    sz1 = spin(Axis.Z, 1, 3)
+    for obs, label in [(sz1, "sigma_z(1)"), (Observable(sz1.matrix), "O[8x8]")]:
+        with pytest.raises(ValueError) as exc:
+            call(obs)
+        assert str(exc.value) == f"0.5 is not in the spectrum of {label}"
+
+
+def test_unlabeled_observable_has_one_name():
+    unlabeled = Observable(spin(Axis.Z, 1, 3).matrix)
+    claim = SerClaim(unlabeled, 1.0, OutcomeAssignment([(unlabeled, 1.0)]), {3}, {2})
+    assert claim.describe() == "O[8x8]=+1 given O[8x8]=+1"
+    assert certify_ser(psi_state(DEFAULT), claim).detail == "O[8x8] acts outside the inferring region [3]"
 
 
 def test_certify_rejects_overlapping_regions():
@@ -234,6 +258,12 @@ def test_flipping_ghz_claims_fails(scenario):
 def test_flip_claim_out_of_range():
     with pytest.raises(ValueError):
         run_scenario("epr-psi", DEFAULT, flip_claim=3)
+
+
+@pytest.mark.parametrize("flip_claim", [True, 1.0])
+def test_flip_claim_must_be_an_int(flip_claim):
+    with pytest.raises(TypeError):
+        run_scenario("epr-psi", DEFAULT, flip_claim=flip_claim)
 
 
 def test_every_emitted_claim_recertifies():

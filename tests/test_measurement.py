@@ -363,6 +363,13 @@ def test_sample_rejects_noncommuting():
         sample_joint(state, [spin(Axis.X, 1, 3), spin(Axis.Z, 1, 3)], seed=0, trials=10)
 
 
+@pytest.mark.parametrize("sample", [sample_counts, sample_joint])
+@pytest.mark.parametrize("seed, trials", [(1.7, 10), (True, 10), (0, 10.0), (0, True)])
+def test_sample_rejects_bool_and_float_seed_or_trials(sample, seed, trials):
+    with pytest.raises(TypeError):
+        sample(basis_state("+"), [pauli(Axis.Z)], seed=seed, trials=trials)
+
+
 def test_sample_requires_positive_trials():
     with pytest.raises(ValueError):
         sample_joint(basis_state("+"), [pauli(Axis.Z)], seed=0, trials=0)

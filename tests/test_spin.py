@@ -130,6 +130,30 @@ def test_spin_product_matches_embedded_product():
     assert np.allclose(xxx, manual)
 
 
+_X, _Y, _I = spin_module._SIGMA[Axis.X], spin_module._SIGMA[Axis.Y], np.eye(2, dtype=complex)
+EXPLICIT_PRODUCTS = [
+    *((spin_product, (axis, n), [spin_module._SIGMA[axis]] * n) for axis in Axis for n in (2, 3, 4)),
+    (mermin_A, (1,), [_I, _X, _Y]),
+    (mermin_A, (2,), [_Y, _I, _X]),
+    (mermin_A, (3,), [_X, _Y, _I]),
+    (mermin_B, (1,), [_I, _Y, _Y]),
+    (mermin_B, (2,), [_Y, _I, _Y]),
+    (mermin_B, (3,), [_Y, _Y, _I]),
+    (hardy_projector, (2,), [np.diag([1, 1, 1, 0]).astype(complex)]),
+    (hardy_projector, (3,), [np.diag([1, 1, 1, 0]).astype(complex), _I]),
+]
+
+
+@pytest.mark.parametrize(
+    "factory, args, factors", EXPLICIT_PRODUCTS, ids=[f"{f.__name__}{args}" for f, args, _ in EXPLICIT_PRODUCTS]
+)
+def test_named_product_is_bitwise_its_explicit_kron(factory, args, factors):
+    explicit = factors[-1]
+    for factor in reversed(factors[:-1]):
+        explicit = np.kron(factor, explicit)
+    assert np.array_equal(factory(*args).matrix, explicit)
+
+
 def test_all_named_operators_hermitian_and_involutive():
     for op in [mermin_A(1), mermin_A(2), mermin_A(3), mermin_B(1), mermin_B(2), mermin_B(3)]:
         assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-12

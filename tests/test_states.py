@@ -54,6 +54,28 @@ def test_psi_state_amplitudes():
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
+def _normalized(amps):
+    amps = np.array(amps, dtype=complex)
+    return amps / np.linalg.norm(amps)
+
+
+NAMED_KETS = [
+    (lambda: basis_state("+-+"), np.array([0, 0, 1, 0, 0, 0, 0, 0], dtype=complex)),
+    (lambda: psi_state(PsiParams(0.5, 0.5)), np.array([0.5, 0, -0.5, 0, -0.5, 0, 0, 0.5], dtype=complex)),
+    (
+        lambda: psi_state(PsiParams(0.3 + 0.4j, 0.5j)),
+        _normalized([0.3 + 0.4j, 0, -0.3 - 0.4j, 0, -0.3 - 0.4j, 0, 0, 0.5j]),
+    ),
+    (hardy_state, np.array([1, -1, -1, 0], dtype=complex) / np.sqrt(3.0)),
+    (ghz_mermin_state, np.array([1, 0, 0, 0, 0, 0, 0, -1], dtype=complex) / np.sqrt(2.0)),
+]
+
+
+@pytest.mark.parametrize("build, expected", NAMED_KETS, ids=["basis", "psi", "psi-complex", "hardy", "ghz"])
+def test_named_ket_is_bitwise_its_written_out_amplitudes(build, expected):
+    assert np.array_equal(build().amplitudes, expected)
+
+
 def test_psi_collapse_on_third_particle_gives_hardy_product():
     state = psi_state(PsiParams(0.5, 0.5))
     collapsed = collapse(state, spin(Axis.Z, 3, 3), +1.0)
