@@ -151,44 +151,41 @@ def report_payload(report: ScenarioReport, config: RunConfig) -> dict:
     }
 
 
-def _render_text(report: ScenarioReport, out) -> None:
-    print(f"scenario: {report.scenario}", file=out)
+def _render_text(report: ScenarioReport) -> None:
+    print(f"scenario: {report.scenario}")
     if report.parameters is not None:
         p = report.parameters
-        print(f"parameters: a = {p.a:g}, b = {p.b:g}", file=out)
+        print(f"parameters: a = {p.a:g}, b = {p.b:g}")
     if report.post_selection_probability is not None:
         print(
             f"post-selection {report.post_selection.describe()}: "
-            f"probability {report.post_selection_probability:.12g}",
-            file=out,
+            f"probability {report.post_selection_probability:.12g}"
         )
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         expected = _value_text(check.expected)
         computed = _value_text(check.computed)
-        print(f"[{status}] {check.description} (expected {expected}, computed {computed})", file=out)
+        print(f"[{status}] {check.description} (expected {expected}, computed {computed})")
     if report.sampling is not None:
         stats = report.sampling
         print(
             f"sampling: {stats.trials} trials, seed {stats.seed}, {stats.algorithm}, "
-            f"observables {', '.join(stats.observable_labels)}",
-            file=out,
+            f"observables {', '.join(stats.observable_labels)}"
         )
         for entry in stats.entries:
             z_text = "n/a" if entry.z is None else f"{entry.z:+.3f}"
             print(
                 f"  {_outcome_text(entry.outcomes)}: expected {entry.expected:.6g}, observed {entry.frequency:.6g} "
-                f"({entry.count} counts), z = {z_text}",
-                file=out,
+                f"({entry.count} counts), z = {z_text}"
             )
         if stats.unobserved_admissible:
             missing = ", ".join(map(_outcome_text, stats.unobserved_admissible))
-            print(f"  note: admissible but unobserved outcomes: {missing}", file=out)
+            print(f"  note: admissible but unobserved outcomes: {missing}")
     verdicts = {"incompleteness": report.incompleteness_verdict, "contradiction": report.contradiction_verdict}
     shown = " ".join(f"{kind}={_value_text(verdict)}" for kind, verdict in verdicts.items() if verdict is not None)
     if shown:
-        print(f"verdicts: {shown}", file=out)
-    print(f"result: {'all checks passed' if report.passed() else 'CHECK FAILURE'}", file=out)
+        print(f"verdicts: {shown}")
+    print(f"result: {'all checks passed' if report.passed() else 'CHECK FAILURE'}")
 
 
 def _value_text(value) -> str:
@@ -217,8 +214,8 @@ def _run_reports(command: str, config: RunConfig) -> list[ScenarioReport]:
     return reports
 
 
-def run_command(command: str, config: RunConfig, out=None) -> int:
-    """Run ``verify`` (the analytic checks) or ``sample`` (Monte Carlo calibration) and report.
+def run_command(command: str, config: RunConfig) -> int:
+    """Run ``verify`` (the analytic checks) or ``sample`` (Monte Carlo calibration) and report on stdout.
 
     Returns the exit code: 0 when every check passes, 1 when one fails (named
     on stderr), 2 for an unknown command or a parameter error.
@@ -228,15 +225,14 @@ def run_command(command: str, config: RunConfig, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = out or sys.stdout
     if config.format == "json":
         payloads = [report_payload(r, config) for r in reports]
-        print(dumps(payloads[0] if len(payloads) == 1 else payloads), file=out)
+        print(dumps(payloads[0] if len(payloads) == 1 else payloads))
     else:
         for i, report in enumerate(reports):
             if i:
-                print("", file=out)
-            _render_text(report, out)
+                print()
+            _render_text(report)
     for report in reports:
         failure = report.first_failure()
         if failure is not None:

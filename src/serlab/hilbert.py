@@ -96,27 +96,11 @@ class StateVector:
     def num_particles(self) -> int:
         return self.dim.bit_length() - 1
 
-    def amplitude(self, which: int | str) -> complex:
-        """Amplitude at a basis index, or at a +/- pattern such as ``"+-+"``."""
-        if isinstance(which, str):
-            if 2 ** len(which) != self.dim:
-                raise ValueError(f"pattern {which!r} does not address a dim-{self.dim} state")
-            which = basis_index(which)
-        else:
-            which = _index(which)
-            if not 0 <= which < self.dim:
-                raise ValueError(f"basis index {which} out of range for a dim-{self.dim} state")
-        return complex(self._amps[which])
-
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
         if other.dim != self.dim:
             raise ValueError("states live in different spaces")
         return complex(np.vdot(self._amps, other._amps))
-
-    def parallel_to(self, other: "StateVector") -> bool:
-        """Equality up to a global phase: |<self|other>| = 1 within ``SCALAR_TOL``."""
-        return abs(abs(self.overlap(other)) - 1.0) <= SCALAR_TOL
 
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim})"
@@ -159,9 +143,6 @@ class SpectralDecomposition:
         if not distances[k] <= EIGENVALUE_TOL:
             raise ValueError(f"value {value} is not in the spectrum {self.eigenvalues}")
         return k
-
-    def projector_for(self, value: float) -> np.ndarray:
-        return self.projectors[self.index_of(value)]
 
 
 def _spectral_decomposition(matrix: np.ndarray) -> SpectralDecomposition:
@@ -232,11 +213,6 @@ class Observable:
     def eigenvalues(self) -> tuple[float, ...]:
         """Distinct eigenvalues, ascending."""
         return self.spectral().eigenvalues
-
-    def expectation(self, state: StateVector) -> float:
-        if state.dim != self.dim:
-            raise ValueError("state and observable live in different spaces")
-        return float(np.real(np.vdot(state.amplitudes, self._matrix @ state.amplitudes)))
 
     def __repr__(self) -> str:
         name = self.label or "Observable"

@@ -102,6 +102,8 @@ class SerClaim:
                 if not 1 <= _index(p) <= n:
                     raise ValueError(f"{name.replace('_', ' ')} {sorted(region)} out of range 1..{n}")
             object.__setattr__(self, name, region)
+        if self.conditioning.dim != self.observable.dim:
+            raise ValueError("conditioning and observable live in different spaces")
         object.__setattr__(self, "predicted_value", float(self.predicted_value))
         _spectral_index(self.observable, self.predicted_value)
 
@@ -124,10 +126,12 @@ class Certification:
 def certify_ser(state: StateVector, claim: SerClaim, tolerance: float = CERTAINTY_TOL) -> Certification:
     """Check the three SER clauses; failures are verdicts, never exceptions.
 
-    A ``tolerance`` outside ``[0, 1)`` (NaN and infinities included) raises ``ValueError``.
+    A ``tolerance`` outside ``[0, 1)`` (NaN, infinities) or a state of another space raises ``ValueError``.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be a finite number in [0, 1), got {tolerance}")
+    if state.dim != claim.observable.dim:
+        raise ValueError("state and claim live in different spaces")
     n = state.num_particles
     overlap = claim.inferring_region & claim.target_region
     if overlap:
@@ -533,6 +537,9 @@ def hardy_null_outcome_scan(seed: int = 0, n_states: int = 20, trials: int = 100
     """
     observables = [spin(Axis.Z, 1, 3), spin(Axis.Z, 2, 3), hardy_projector(3)]
     target = (-1.0, -1.0, 1.0)
+    seed, n_states = _index(seed), _index(n_states)
+    if n_states < 1:
+        raise ValueError("n_states must be positive")
     rng = np.random.default_rng(seed)
     hits: list[int] = []
     for s in range(n_states):

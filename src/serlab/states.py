@@ -10,7 +10,7 @@ import numpy as np
 
 from .hilbert import SCALAR_TOL, StateVector, _ket
 
-__all__ = ["PsiParams", "psi_state", "hardy_state", "ghz_mermin_state", "random_psi_params"]
+__all__ = ["PsiParams", "psi_state", "hardy_state", "ghz_mermin_state"]
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,3 @@ def hardy_state() -> StateVector:
 def ghz_mermin_state() -> StateVector:
     """(|+++> - |--->)/sqrt(2), dimension 8."""
     return StateVector(_ket({"+++": 1.0, "---": -1.0}) / np.sqrt(2.0))
-
-
-def random_psi_params(rng: np.random.Generator) -> PsiParams:
-    """Draw admissible (a, b) with random phases, away from the a*b = 0 boundary.
-
-    |a|^2 is uniform in (0.01, 0.32); |b|^2 = 1 - 3|a|^2 then stays in
-    (0.04, 0.97); both phases are uniform in [0, 2*pi).
-    """
-    mod_a_sq = rng.uniform(0.01, 0.32)
-    mod_b_sq = 1.0 - 3.0 * mod_a_sq
-    phase_a, phase_b = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    a = np.sqrt(mod_a_sq) * np.exp(1j * phase_a)
-    b = np.sqrt(mod_b_sq) * np.exp(1j * phase_b)
-    return PsiParams(a, b)

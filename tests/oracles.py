@@ -3,7 +3,7 @@
 These deliberately avoid the library's projector-product route: joint
 probabilities are computed by expanding the state in an explicit joint
 eigenbasis (built by recursive eigenspace refinement) and summing squared
-amplitudes.
+amplitudes.  The seeded draws of random test inputs live here too.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import bisect
 
 import numpy as np
+
+from serlab.states import PsiParams
 
 CLUSTER_TOL = 1e-8
 
@@ -84,6 +86,20 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return amps / np.linalg.norm(amps)
+
+
+def random_psi_params(rng: np.random.Generator) -> PsiParams:
+    """Draw admissible (a, b) with random phases, away from the a*b = 0 boundary.
+
+    |a|^2 is uniform in (0.01, 0.32); |b|^2 = 1 - 3|a|^2 then stays in
+    (0.04, 0.97); both phases are uniform in [0, 2*pi).
+    """
+    mod_a_sq = rng.uniform(0.01, 0.32)
+    mod_b_sq = 1.0 - 3.0 * mod_a_sq
+    phase_a, phase_b = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    a = np.sqrt(mod_a_sq) * np.exp(1j * phase_a)
+    b = np.sqrt(mod_b_sq) * np.exp(1j * phase_b)
+    return PsiParams(a, b)
 
 
 def distinct_eigenvalues(matrix: np.ndarray) -> list[float]:

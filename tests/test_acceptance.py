@@ -15,9 +15,9 @@ from serlab.hilbert import Observable, StateVector, has_common_eigenstate
 from serlab.inference import certify_ser, hardy_null_outcome_scan, run_scenario
 from serlab.measurement import OutcomeAssignment, conditional_probability, outcome_probability, sample_counts
 from serlab.spin import Axis, hardy_projector, mermin_A, mermin_B, spin, spin_product
-from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state, random_psi_params
+from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state
 
-from oracles import joint_probability, random_state, random_unitary
+from oracles import joint_probability, random_psi_params, random_state, random_unitary
 
 DEFAULT = PsiParams(0.5, 0.5)
 N_DRAWS = 100
@@ -28,6 +28,14 @@ DRAW_SEED = 20240914
 def _verdict(num: int, ok: bool, description: str) -> None:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {description}")
     assert ok, f"criterion {num} failed: {description}"
+
+
+def _run(command: str, config: RunConfig) -> tuple[int, str]:
+    """``run_command``'s exit code and stdout; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run_command(command, config)
+    return code, out.getvalue()
 
 
 def _draws():
@@ -101,11 +109,10 @@ def test_criterion_3_eigenstructure():
 
 def test_criterion_4_bell_hardy_operator_impossibility():
     sz1, sz2, pi3 = spin(Axis.Z, 1, 3), spin(Axis.Z, 2, 3), hardy_projector(3)
-    product = (
-        sz1.spectral().projector_for(-1.0)
-        @ sz2.spectral().projector_for(-1.0)
-        @ pi3.spectral().projector_for(1.0)
-    )
+    product = np.eye(8)
+    for obs, value in [(sz1, -1.0), (sz2, -1.0), (pi3, 1.0)]:
+        spec = obs.spectral()
+        product = product @ spec.projectors[spec.index_of(value)]
     ok = float(np.max(np.abs(product))) < 1e-12
     hits = hardy_null_outcome_scan(seed=0, n_states=20, trials=100_000)
     ok = ok and all(h == 0 for h in hits)
@@ -130,11 +137,10 @@ def test_criterion_6_sampling_calibration():
         ("epr-psi", (1.0, 1.0, 1.0), 0.25),
         ("bell-hardy", (1.0, 1.0, 1.0), 0.0625),
     ]:
-        out = io.StringIO()
         config = RunConfig(scenario=scenario, trials=100_000, seed=17, format="json")
-        code = run_command("sample", config, out=out)
+        code, out = _run("sample", config)
         ok = ok and code == 0
-        payload = json.loads(out.getvalue())
+        payload = json.loads(out)
         entry = next(
             e for e in payload["sampling"]["frequencies"] if tuple(e["outcomes"]) == tuple_post
         )
@@ -169,12 +175,11 @@ def test_criterion_8_determinism():
         ("sample", dict(scenario="bell-hardy", format="json", seed=23, trials=30_000)),
         ("sample", dict(scenario="epr-ghz", format="json", seed=23, trials=30_000)),
     ]:
-        first, second = io.StringIO(), io.StringIO()
-        code1 = run_command(command, RunConfig(**kwargs), out=first)
-        code2 = run_command(command, RunConfig(**kwargs), out=second)
+        code1, first = _run(command, RunConfig(**kwargs))
+        code2, second = _run(command, RunConfig(**kwargs))
         ok = ok and code1 == code2 == 0
-        ok = ok and first.getvalue() == second.getvalue()
-        ok = ok and first.getvalue().endswith("\n")
+        ok = ok and first == second
+        ok = ok and first.endswith("\n")
     _verdict(8, ok, "repeat runs with identical config produce byte-identical JSON")
 
 
@@ -192,10 +197,8 @@ def test_criterion_9_mutation_sensitivity():
                 flipped_claim, flipped_cert = report.certified_claims[k]
                 ok = ok and not flipped_cert
                 ok = ok and not certify_ser(state, flipped_claim, tolerance=tolerance)
-                out = io.StringIO()
                 config = RunConfig(scenario=scenario, format="json", tolerance=tolerance, flip_claim=k)
-                with contextlib.redirect_stderr(io.StringIO()):
-                    ok = ok and run_command("verify", config, out=out) == 1
+                ok = ok and _run("verify", config)[0] == 1
     _verdict(
         9,
         ok,

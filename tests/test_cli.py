@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, report formats, determinism."""
 
+import contextlib
 import importlib
 import io
 import json
@@ -18,16 +19,19 @@ _OFF_CONSTRAINT = "error: 3|a|^2+|b|^2 must equal 1 (off by 1.680e+00)"
 _MODULUS_ABOVE_ONE = "error: |a| and |b| must not exceed 1, as 3|a|^2+|b|^2 = 1"
 
 
-def run_verify(**kwargs):
+def _run(command, **kwargs):
     out = io.StringIO()
-    code = run_command("verify", RunConfig(**kwargs), out=out)
+    with contextlib.redirect_stdout(out):
+        code = run_command(command, RunConfig(**kwargs))
     return code, out.getvalue()
+
+
+def run_verify(**kwargs):
+    return _run("verify", **kwargs)
 
 
 def run_sample(**kwargs):
-    out = io.StringIO()
-    code = run_command("sample", RunConfig(**kwargs), out=out)
-    return code, out.getvalue()
+    return _run("sample", **kwargs)
 
 
 def test_verify_epr_psi_text():

@@ -1,4 +1,5 @@
-"""Golden outputs: the sha256 of two JSON reports and one text report, recorded in README.md.
+"""Golden outputs, recorded in README.md: the sha256 of two JSON reports, one text report,
+each demo's stdout and a corpus of CLI runs.
 
 Any refactor must leave these bytes unchanged; a change to them is a change
 of behaviour and has to be made, and recorded in README.md, on purpose.
@@ -7,6 +8,8 @@ of behaviour and has to be made, and recorded in README.md, on purpose.
 import contextlib
 import hashlib
 import io
+import pathlib
+import runpy
 
 import pytest
 
@@ -30,3 +33,63 @@ def test_golden_output(digest, command):
         code = main(command.split())
     assert (code, err.getvalue()) == (0, "")
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+DEMO_DIGESTS = {
+    "01_certainty_chain": "ff7b3dee13d403286347b39bf5487788ddac7d0bb45db5345942621e6aa6f8d8",
+    "02_incompleteness": "08723d48348e6e6b53c878347cf456190acf54eaa3f36c26c4523137200f972a",
+    "03_contradictions": "8a1cdea091e54669dccb2415cbac390d53fa4cb7fe2499c68322cc3290e69565",
+    "04_sampling": "93cbbb57313a393f51ceac84894e7d1de41c62d4688397a9be56f7def617cc2c",
+}
+
+
+@pytest.mark.parametrize("demo, digest", DEMO_DIGESTS.items(), ids=list(DEMO_DIGESTS))
+def test_demo_output(demo, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / f"{demo}.py"), run_name="__main__")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def _corpus() -> list[list[str]]:
+    """Fixed CLI argument lists: every scenario and format, every flip index and its edges, rejected inputs."""
+    scenarios = ["epr-psi", "epr-ghz", "bell-hardy", "bell-ghz", "all"]
+    claims = {"epr-psi": 3, "epr-ghz": 24, "bell-hardy": 3, "bell-ghz": 24}
+    corpus = []
+    for scenario in scenarios:
+        for fmt in ("text", "json"):
+            corpus.append(["verify", "--scenario", scenario, "--format", fmt])
+            for trials in ("1", "1000"):
+                for seed in ("0", "383"):
+                    corpus.append(["sample", "--scenario", scenario, "--format", fmt, "--trials", trials, "--seed", seed])
+    for scenario, n in claims.items():
+        for tolerance in ("0", "1e-10", "0.5"):
+            for flip in range(-1, n + 2):
+                corpus.append(["verify", "--scenario", scenario, "--tolerance", tolerance, "--flip-claim", str(flip)])
+    for command in ("verify", "sample"):
+        corpus += [
+            [command, "--scenario", "epr-psi", "--a-re", "1e300"],
+            [command, "--tolerance", "nan"],
+            [command, "--trials", "0"],
+            [command, "--scenario", "nope"],
+            [command, "--scenario", "all", "--a-re", "0.4", "--b-im", "-8e-05"],
+        ]
+    return corpus
+
+
+CORPUS_DIGEST = "17b8e26255fc1501d13526f4f7cf03bb323035c564f60e3a58df73abe3f1f79c"
+
+
+def test_cli_corpus(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal width
+    digest = hashlib.sha256()
+    for argv in _corpus():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        digest.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST

@@ -36,23 +36,8 @@ def test_basis_index_convention():
 
 def test_basis_state_roundtrip():
     ket = basis_state("+-")
-    assert ket.amplitude(1) == 1.0
-    assert ket.amplitude("+-") == 1.0
-
-
-@pytest.mark.parametrize(
-    "which, error, match",
-    [
-        (-1, ValueError, "out of range"),  # would read index 3 through negative indexing
-        (-3, ValueError, "out of range"),
-        (4, ValueError, "out of range"),
-        (True, TypeError, "not bool"),  # would read index 1
-        (1.0, TypeError, "integer"),
-    ],
-)
-def test_amplitude_rejects_an_index_outside_the_basis(which, error, match):
-    with pytest.raises(error, match=match):
-        basis_state("+-").amplitude(which)
+    assert ket.amplitudes[1] == 1.0
+    assert ket.amplitudes[basis_index("+-")] == 1.0
 
 
 def test_basis_state_checks_the_dimension_before_allocating():
@@ -124,7 +109,7 @@ def test_tensor_states_index_convention():
     # |+> (x) |-> is the dim-4 basis vector at index 1
     product = tensor(basis_state("+"), basis_state("-"))
     assert product.dim == 4
-    assert product.amplitude(1) == 1.0
+    assert product.amplitudes[1] == 1.0
 
 
 def test_tensor_rejects_mixed_kinds():
@@ -147,8 +132,8 @@ def test_tensor_associative():
 def test_spectral_sigma_z():
     spec = pauli(Axis.Z).spectral()
     assert spec.eigenvalues == (-1.0, 1.0)
-    assert np.allclose(spec.projector_for(-1.0), [[0, 0], [0, 1]])
-    assert np.allclose(spec.projector_for(+1.0), [[1, 0], [0, 0]])
+    assert np.allclose(spec.projectors[spec.index_of(-1.0)], [[0, 0], [0, 1]])
+    assert np.allclose(spec.projectors[spec.index_of(+1.0)], [[1, 0], [0, 0]])
 
 
 def test_spectral_index_of_rejects_nan():
@@ -203,7 +188,7 @@ def test_degenerate_eigenvalues_are_clustered():
     diag = np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex)
     spec = Observable(u @ diag @ u.conj().T).spectral()
     assert len(spec.eigenvalues) == 3
-    assert abs(np.trace(spec.projector_for(1.0)).real - 2.0) < 1e-9
+    assert abs(np.trace(spec.projectors[spec.index_of(1.0)]).real - 2.0) < 1e-9
 
 
 # --- common eigenstates -----------------------------------------------------------

@@ -15,7 +15,9 @@ from serlab.inference import (
 from serlab.hilbert import Observable
 from serlab.measurement import OutcomeAssignment, collapse
 from serlab.spin import Axis, hardy_projector, mermin_A, spin
-from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state, random_psi_params
+from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state
+
+from oracles import random_psi_params
 
 DEFAULT = PsiParams(0.5, 0.5)
 
@@ -75,6 +77,20 @@ def test_ser_claim_rejects_malformed_region(region, particles, error):
     conditioning = OutcomeAssignment([(spin(Axis.Z, 1, 3), +1.0)])
     with pytest.raises(error):
         SerClaim(spin(Axis.X, 2, 3), -1.0, conditioning, **regions)
+
+
+def test_ser_claim_rejects_conditioning_on_another_space():
+    conditioning = OutcomeAssignment([(spin(Axis.Z, 1, 2), 1.0)])
+    with pytest.raises(ValueError, match="conditioning and observable live in different spaces"):
+        SerClaim(spin(Axis.X, 2, 3), -1.0, conditioning, {1}, {2})
+
+
+@pytest.mark.parametrize("target_region", [{1}, {3}], ids=["overlapping", "disjoint"])
+def test_certify_rejects_a_state_of_another_space(target_region):
+    # the check comes before any clause, so an overlap verdict cannot hide the mismatch
+    claim = SerClaim(spin(Axis.X, 2, 3), -1.0, OutcomeAssignment([(spin(Axis.Z, 1, 3), 1.0)]), {1}, target_region)
+    with pytest.raises(ValueError, match="state and claim live in different spaces"):
+        certify_ser(hardy_state(), claim)
 
 
 @pytest.mark.parametrize("value", [float("nan"), 0.5])
@@ -307,3 +323,20 @@ def test_sample_scenario_epr_psi_z_scores():
 def test_hardy_null_outcome_scan_small():
     hits = hardy_null_outcome_scan(seed=5, n_states=5, trials=20_000)
     assert hits == [0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"n_states": True}, TypeError),
+        ({"n_states": 2.0}, TypeError),
+        ({"seed": True}, TypeError),
+        ({"seed": 1.5}, TypeError),
+        ({"n_states": 0}, ValueError),
+        ({"n_states": -1}, ValueError),
+    ],
+    ids=["n_states-bool", "n_states-float", "seed-bool", "seed-float", "n_states-zero", "n_states-negative"],
+)
+def test_hardy_null_outcome_scan_applies_the_integer_rule(kwargs, error):
+    with pytest.raises(error):
+        hardy_null_outcome_scan(**{"trials": 10} | kwargs)

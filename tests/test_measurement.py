@@ -34,9 +34,9 @@ from serlab.measurement import (
     sample_joint,
 )
 from serlab.spin import Axis, hardy_projector, mermin_A, pauli, spin, spin_product
-from serlab.states import PsiParams, ghz_mermin_state, psi_state, random_psi_params
+from serlab.states import PsiParams, ghz_mermin_state, psi_state
 
-from oracles import joint_probability, random_state, random_unitary, sequential_sample_outcomes
+from oracles import joint_probability, random_psi_params, random_state, random_unitary, sequential_sample_outcomes
 
 DEFAULT = PsiParams(0.5, 0.5)
 spin_module = importlib.import_module("serlab.spin")  # the package exports a function named spin
@@ -257,7 +257,8 @@ def test_joint_projector_is_shared_per_spectral_index():
     assert OutcomeAssignment([(sz1, 1.0 + 1e-9), (sz2, -1.0)]).joint_projector() is proj
     assert OutcomeAssignment([(sz1, 1.0)]).extended(sz2, -1.0).joint_projector() is proj
     assert not proj.flags.writeable
-    expected = sz1.spectral().projector_for(1.0) @ sz2.spectral().projector_for(-1.0)
+    spec1, spec2 = sz1.spectral(), sz2.spectral()
+    expected = spec1.projectors[spec1.index_of(1.0)] @ spec2.projectors[spec2.index_of(-1.0)]
     assert np.array_equal(proj, np.eye(8) @ expected)
 
 
@@ -281,7 +282,8 @@ def test_collapse_ghz_on_sigma_y_fixes_mermin_a():
     mu = ghz_mermin_state()
     for eps in (+1.0, -1.0):
         post = collapse(mu, spin(Axis.Y, 1, 3), eps)
-        assert mermin_A(1).expectation(post) == pytest.approx(eps, abs=1e-12)
+        expectation = np.vdot(post.amplitudes, mermin_A(1).matrix @ post.amplitudes).real
+        assert expectation == pytest.approx(eps, abs=1e-12)
 
 
 def test_collapse_on_null_outcome_raises():
@@ -296,7 +298,7 @@ def test_sample_eigenstate_always_plus_one():
     records = sample_joint(basis_state("+"), [pauli(Axis.Z)], seed=42, trials=200)
     assert len(records) == 200
     assert all(rec.outcomes[0][1] == 1.0 for rec in records)
-    assert all(rec.post_state.amplitude(0) == 1.0 for rec in records)
+    assert all(rec.post_state.amplitudes[0] == 1.0 for rec in records)
 
 
 def test_sample_reproducible_and_prefix_stable():

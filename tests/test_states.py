@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from serlab.hilbert import SCALAR_TOL, basis_state, tensor
+from serlab.hilbert import SCALAR_TOL, basis_index, basis_state, tensor
 from serlab.measurement import (
     OutcomeAssignment,
     collapse,
@@ -11,9 +11,9 @@ from serlab.measurement import (
     outcome_probability,
 )
 from serlab.spin import Axis, hardy_projector, spin, spin_product
-from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state, random_psi_params
+from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state
 
-from oracles import marginal_z_probability
+from oracles import marginal_z_probability, random_psi_params
 
 
 def test_psi_params_validation():
@@ -45,10 +45,10 @@ def test_psi_params_reject_a_below_zero_probability_tolerance():
 
 def test_psi_state_amplitudes():
     state = psi_state(PsiParams(0.5, 0.5))
-    assert state.amplitude("+++") == pytest.approx(0.5)
-    assert state.amplitude("+-+") == pytest.approx(-0.5)
-    assert state.amplitude("-++") == pytest.approx(-0.5)
-    assert state.amplitude("---") == pytest.approx(0.5)
+    assert state.amplitudes[basis_index("+++")] == pytest.approx(0.5)
+    assert state.amplitudes[basis_index("+-+")] == pytest.approx(-0.5)
+    assert state.amplitudes[basis_index("-++")] == pytest.approx(-0.5)
+    assert state.amplitudes[basis_index("---")] == pytest.approx(0.5)
     nonzero = [i for i, a in enumerate(state.amplitudes) if abs(a) > 0]
     assert nonzero == [0, 2, 4, 7]
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
@@ -80,12 +80,12 @@ def test_psi_collapse_on_third_particle_gives_hardy_product():
     state = psi_state(PsiParams(0.5, 0.5))
     collapsed = collapse(state, spin(Axis.Z, 3, 3), +1.0)
     expected = tensor(hardy_state(), basis_state("+"))
-    assert collapsed.parallel_to(expected)
+    assert abs(abs(collapsed.overlap(expected)) - 1.0) <= SCALAR_TOL
 
 
 def test_hardy_state_structure():
     eta = hardy_state()
-    assert eta.amplitude("--") == 0.0
+    assert eta.amplitudes[basis_index("--")] == 0.0
     assert abs(np.linalg.norm(eta.amplitudes) - 1.0) < 1e-12
     projected = hardy_projector().matrix @ eta.amplitudes
     assert np.max(np.abs(projected - eta.amplitudes)) < 1e-12
@@ -93,15 +93,15 @@ def test_hardy_state_structure():
 
 def test_ghz_state_structure():
     mu = ghz_mermin_state()
-    assert mu.amplitude("+++") == pytest.approx(1 / np.sqrt(2))
-    assert mu.amplitude("---") == pytest.approx(-1 / np.sqrt(2))
+    assert mu.amplitudes[basis_index("+++")] == pytest.approx(1 / np.sqrt(2))
+    assert mu.amplitudes[basis_index("---")] == pytest.approx(-1 / np.sqrt(2))
     assert np.count_nonzero(mu.amplitudes) == 2
 
 
 def test_ghz_x_product_expectation():
     mu = ghz_mermin_state()
     xxx = spin_product(Axis.X, 3)
-    assert xxx.expectation(mu) == pytest.approx(-1.0, abs=1e-12)
+    assert np.vdot(mu.amplitudes, xxx.matrix @ mu.amplitudes).real == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_ghz_z_marginal_is_balanced():
@@ -110,7 +110,8 @@ def test_ghz_z_marginal_is_balanced():
     mu = ghz_mermin_state()
     p_up = marginal_z_probability(mu.amplitudes, 1, +1)
     assert p_up == pytest.approx(0.5, abs=1e-12)
-    assert spin(Axis.Z, 1, 3).expectation(mu) == pytest.approx(2 * p_up - 1.0, abs=1e-12)
+    z1 = spin(Axis.Z, 1, 3).matrix
+    assert np.vdot(mu.amplitudes, z1 @ mu.amplitudes).real == pytest.approx(2 * p_up - 1.0, abs=1e-12)
 
 
 def test_psi_property_suite_random_parameters():
@@ -143,7 +144,7 @@ def test_psi_property_suite_random_parameters():
         assert p_xxz == pytest.approx(abs(params.a) ** 2 / 4.0, abs=1e-12)
 
         collapsed = collapse(state, sz[3], +1.0)
-        assert collapsed.parallel_to(tensor(eta, ket_plus))
+        assert abs(abs(collapsed.overlap(tensor(eta, ket_plus))) - 1.0) <= SCALAR_TOL
 
 
 def test_random_psi_params_respect_constraint():
