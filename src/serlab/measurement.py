@@ -15,6 +15,7 @@ earlier trials unchanged.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -26,7 +27,8 @@ from .hilbert import OPERATOR_TOL, SCALAR_TOL, Observable, StateVector, _index, 
 NEGLIGIBLE_PROBABILITY = 1e-15
 RNG_ALGORITHM = "philox4x64"
 
-_CHUNK_TRIALS = 1 << 16
+# a multiple of 4, so every chunk starts on a Philox counter step (4 uniforms each) for any k
+_CHUNK_TRIALS = 1 << 14
 
 __all__ = [
     "NEGLIGIBLE_PROBABILITY",
@@ -245,12 +247,16 @@ class _BranchTree:
 
 
 def _sample_leaves(state, observables, seed, trials):
-    """Validated observables, their branch tree, and the leaf index of every trial in chunks.
+    """Validated observables, their branch tree, a chunk function and the chunk starts.
 
-    Sequential Born-rule draws with Lüders collapse in the given order.  The
-    uniforms come from one Philox stream in chunks of ``_CHUNK_TRIALS`` rows
-    of ``k`` draws, so trial ``t`` still uses offsets ``t*k .. t*k + k - 1``
-    while memory stays flat in ``trials``.
+    Sequential Born-rule draws with Lüders collapse in the given order.
+    ``chunk(start)`` is the leaf index of trials ``start`` up to
+    ``start + _CHUNK_TRIALS`` (cut at ``trials``), for each ``start`` in the
+    returned range.  It draws its ``k`` uniforms per trial from a new Philox
+    generator on the run's key, its counter set to ``start*k // 4`` (4
+    uniforms per step), so trial ``t`` still uses offsets
+    ``t*k .. t*k + k - 1``, chunks can be drawn in any order or on any thread,
+    and memory stays flat in ``trials``.
     """
     obs = list(observables)
     if not obs:
@@ -262,13 +268,13 @@ def _sample_leaves(state, observables, seed, trials):
     if trials < 1:
         raise ValueError("trials must be positive")
     tree = _BranchTree(state, obs)
+    k = len(obs)
 
-    def chunks():
-        gen = np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
-        for start in range(0, trials, _CHUNK_TRIALS):
-            yield tree.descend(gen.random((min(_CHUNK_TRIALS, trials - start), len(obs))))
+    def chunk(start: int) -> np.ndarray:
+        bits = np.random.Philox(counter=start * k // 4, key=seed & 0xFFFFFFFFFFFFFFFF)
+        return tree.descend(np.random.Generator(bits).random((min(_CHUNK_TRIALS, trials - start), k)))
 
-    return obs, tree, chunks()
+    return obs, tree, chunk, range(0, trials, _CHUNK_TRIALS)
 
 
 def _outcomes(obs, prefix) -> tuple[float, ...]:
@@ -281,8 +287,8 @@ def sample_joint(state: StateVector, observables, seed: int, trials: int) -> lis
     Fully reproducible for a fixed (seed, trials, order); the records for the
     first N trials do not depend on the total trial count.
     """
-    obs, tree, chunks = _sample_leaves(state, observables, seed, trials)
-    leaf_ids = np.concatenate(list(chunks)).tolist()
+    obs, tree, chunk, starts = _sample_leaves(state, observables, seed, trials)
+    leaf_ids = np.concatenate([chunk(start) for start in starts]).tolist()
     labels = [_label(o) for o in obs]
     leaves = {}
     for leaf in set(leaf_ids):
@@ -295,11 +301,40 @@ def sample_joint(state: StateVector, observables, seed: int, trials: int) -> lis
 
 
 def sample_counts(state: StateVector, observables, seed: int, trials: int) -> dict[tuple[float, ...], int]:
-    """Aggregated joint-outcome counts; same stream and draws as :func:`sample_joint`."""
-    obs, tree, chunks = _sample_leaves(state, observables, seed, trials)
-    totals = np.zeros(len(tree.leaves), dtype=np.int64)
-    for leaf_ids in chunks:
-        totals += np.bincount(leaf_ids, minlength=len(tree.leaves))
+    """Aggregated joint-outcome counts; same stream and draws as :func:`sample_joint`.
+
+    With more than one chunk, the caller counts the even-numbered chunks and
+    one helper thread the odd-numbered ones (numpy releases the GIL while it
+    draws and descends); the counts do not depend on the split.
+    """
+    obs, tree, chunk, starts = _sample_leaves(state, observables, seed, trials)
+
+    def tally(part) -> np.ndarray:
+        totals = np.zeros(len(tree.leaves), dtype=np.int64)
+        for start in part:
+            totals += np.bincount(chunk(start), minlength=len(tree.leaves))
+        return totals
+
+    if len(starts) == 1:
+        totals = tally(starts)
+    else:
+        helper_out = []
+
+        def helper() -> None:
+            try:
+                helper_out.append(tally(starts[1::2]))
+            except BaseException as exc:  # re-raised in the caller after join
+                helper_out.append(exc)
+
+        thread = threading.Thread(target=helper)
+        thread.start()
+        try:
+            totals = tally(starts[0::2])
+        finally:
+            thread.join()
+        if isinstance(helper_out[0], BaseException):
+            raise helper_out[0]
+        totals += helper_out[0]
     return {
         _outcomes(obs, prefix): int(count) for (prefix, _), count in zip(tree.leaves, totals) if count
     }

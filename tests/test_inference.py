@@ -323,6 +323,7 @@ def test_sample_scenario_epr_psi_z_scores():
 def test_hardy_null_outcome_scan_small():
     hits = hardy_null_outcome_scan(seed=5, n_states=5, trials=20_000)
     assert hits == [0, 0, 0, 0, 0]
+    assert hardy_null_outcome_scan(seed=5, n_states=1, trials=1000) == [0]  # the smallest scan
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import gc
 import importlib
 import itertools
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -385,21 +386,87 @@ def _sampling_plans():
         "psi-xxz": (psi_state(random_psi_params(rng)), xxz),
         "ghz-xxx": (ghz_mermin_state(), [spin(Axis.X, p, 3) for p in (1, 2, 3)]),
         "random-null-scan": (StateVector(random_state(rng, 8)), null_scan),
+        "random-z": (StateVector(random_state(rng, 8)), [spin(Axis.Z, 1, 3)]),
+        "random-pi-z": (StateVector(random_state(rng, 8)), [hardy_projector(3), spin(Axis.Z, 3, 3)]),
     }
 
 
+def test_chunks_start_on_a_philox_block():
+    # Philox yields 4 uniforms per counter step, so counter start*k // 4 is stream offset start*k exactly
+    assert _CHUNK_TRIALS % 4 == 0
+
+
 @pytest.mark.parametrize("plan", sorted(_sampling_plans()))
-@pytest.mark.parametrize("seed", [0, 383, 2**31 - 1])
+@pytest.mark.parametrize("seed", [0, 383, 2**31 - 1, 2**64 - 1, -1])
 def test_sample_counts_match_per_trial_oracle(plan, seed):
     state, obs = _sampling_plans()[plan]
     chunk = _CHUNK_TRIALS
-    grid = (1, 7, 1000, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)
-    # the oracle's trial t depends on stream offsets t*k .. t*k + k - 1 only
-    oracle = sequential_sample_outcomes(state.amplitudes, [o.matrix for o in obs], seed, max(grid))
+    # the last two are split between the caller and a helper thread; at 5 chunks each side takes two or
+    # more and the last chunk is partial
+    grid = (1, 7, 1000, chunk - 1, chunk, chunk + 1, 2 * chunk + 3, 4 * chunk + 3)
+    # the oracle's trial t depends on stream offsets t*k .. t*k + k - 1 only; the key is the seed's low 64 bits
+    oracle = sequential_sample_outcomes(state.amplitudes, [o.matrix for o in obs], seed % 2**64, max(grid))
     for trials in grid:
         counts = sample_counts(state, obs, seed=seed, trials=trials)
         by_index = {tuple(o.eigenvalues().index(v) for o, v in zip(obs, key)): n for key, n in counts.items()}
         assert by_index == Counter(oracle[:trials]), (plan, seed, trials)
+
+
+def test_sample_joint_prefix_stable_across_chunks():
+    state, obs = _sampling_plans()["psi-xxz"]
+    chunk = _CHUNK_TRIALS
+
+    def records(trials):
+        return [(r.trial, r.outcomes, r.post_state.amplitudes.tobytes()) for r in sample_joint(state, obs, 9, trials)]
+
+    longest = records(3 * chunk + 5)
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1):
+        assert records(n) == longest[:n], n
+
+
+class _ChunkFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("failing_chunk", [3, 2], ids=["helper-chunk", "caller-chunk"])
+def test_sample_counts_reraises_a_chunk_failure_and_joins(monkeypatch, failing_chunk):
+    state, obs = _sampling_plans()["psi-xxz"]
+    seed, chunk = 4, _CHUNK_TRIALS
+    # a chunk is recognised by its first row of uniforms: stream offset start*k
+    marker = np.random.Generator(np.random.Philox(key=seed)).random((5 * chunk, len(obs)))[failing_chunk * chunk]
+    descend, raised = _BranchTree.descend, []
+
+    def failing_descend(tree, uniforms):
+        if np.array_equal(uniforms[0], marker):
+            raised.append((_ChunkFailure(failing_chunk), threading.current_thread()))
+            raise raised[-1][0]
+        return descend(tree, uniforms)
+
+    monkeypatch.setattr(_BranchTree, "descend", failing_descend)
+    threads_before = threading.active_count()
+    with pytest.raises(_ChunkFailure) as failure:
+        sample_counts(state, obs, seed=seed, trials=5 * chunk)
+    [(error, thread)] = raised
+    assert failure.value is error
+    assert (thread is threading.main_thread()) == (failing_chunk % 2 == 0)  # odd chunks run on the helper
+    assert threading.active_count() == threads_before
+
+
+def test_sample_counts_starts_one_helper_only_for_several_chunks(monkeypatch):
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)  # the module sample_counts starts its helper from
+    state, obs = _sampling_plans()["ghz-xxx"]
+    for trials, helpers in ((1, 0), (_CHUNK_TRIALS, 0), (_CHUNK_TRIALS + 1, 1), (5 * _CHUNK_TRIALS, 1)):
+        started.clear()
+        assert sum(sample_counts(state, obs, seed=0, trials=trials).values()) == trials
+        assert len(started) == helpers, trials
+        assert not any(t.is_alive() for t in started)
 
 
 def test_stray_branch_goes_to_most_probable_branch():

@@ -49,6 +49,7 @@ def test_sigma_y_phase_convention():
 def test_embed_diagonals():
     assert np.allclose(np.diag(embed(pauli(Axis.Z), 1, 2).matrix), [1, 1, -1, -1])
     assert np.allclose(np.diag(embed(pauli(Axis.Z), 2, 2).matrix), [1, -1, 1, -1])
+    assert np.array_equal(embed(pauli(Axis.Z), 1, 1).matrix, pauli(Axis.Z).matrix)  # lowest particle count
 
 
 def test_embed_range_errors():
@@ -56,6 +57,9 @@ def test_embed_range_errors():
         embed(pauli(Axis.Z), 0, 2)
     with pytest.raises(ValueError):
         embed(pauli(Axis.Z), 3, 2)
+    for n_particles in (0, 5):  # particle count must be in 1..4
+        with pytest.raises(ValueError, match="particle count"):
+            embed(pauli(Axis.Z), 1, n_particles)
     with pytest.raises(ValueError):
         embed(Observable(np.eye(4)), 1, 2)
 
