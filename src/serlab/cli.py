@@ -17,14 +17,12 @@ import sys
 from dataclasses import dataclass, fields
 
 from .hilbert import _index
-from .inference import (
-    CERTAINTY_TOL, SCENARIO_TABLE, SCENARIOS, ScenarioReport, _outcome_text, run_scenario, sample_scenario
-)
+from .inference import SCENARIO_TABLE, SCENARIOS, ScenarioReport, _outcome_text, run_scenario, sample_scenario
 from .states import PsiParams
 
 __all__ = ["RunConfig", "run_command", "main"]
 
-_FLOAT_OPTIONS = {"--a-re", "--a-im", "--b-re", "--b-im", "--tolerance"}
+_FLOAT_OPTIONS = {"--a-re", "--a-im", "--b-re", "--b-im"}
 _SCENARIO_CHOICES = (*SCENARIOS, "all")
 _FORMATS = ("text", "json")
 
@@ -43,7 +41,6 @@ class RunConfig:
     b_im: float = 0.0
     trials: int = 100_000
     seed: int = 0
-    tolerance: float = CERTAINTY_TOL
     format: str = "text"
     flip_claim: int | None = None
 
@@ -54,8 +51,6 @@ class RunConfig:
             raise ValueError(f"--format must be text or json, got {self.format!r}")
         if self.flip_claim is not None and self.scenario == "all":
             raise ValueError("--flip-claim requires a single --scenario")
-        if not 0.0 <= self.tolerance < 1.0:
-            raise ValueError(f"--tolerance must be a finite number in [0, 1), got {self.tolerance}")
         if any(SCENARIO_TABLE[name].needs_params for name in self.selected()):
             self.psi_params()
         for name in ("trials", "seed", "flip_claim"):
@@ -210,7 +205,7 @@ def _run_reports(command: str, config: RunConfig) -> list[ScenarioReport]:
         if command == "sample":
             reports.append(sample_scenario(name, params, seed=config.seed, trials=config.trials))
         else:
-            reports.append(run_scenario(name, params, tolerance=config.tolerance, flip_claim=config.flip_claim))
+            reports.append(run_scenario(name, params, flip_claim=config.flip_claim))
     return reports
 
 
@@ -241,8 +236,7 @@ def run_command(command: str, config: RunConfig) -> int:
     return 0
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    d = RunConfig()  # the one source of every default
+def _add_common_options(parser: argparse.ArgumentParser, d: RunConfig) -> None:
     parser.add_argument(
         "--scenario",
         choices=_SCENARIO_CHOICES,
@@ -253,11 +247,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--a-im", type=float, default=d.a_im, help=f"Im(a) (default {d.a_im:g})")
     parser.add_argument("--b-re", type=float, default=d.b_re, help=f"Re(b) (default {d.b_re:g})")
     parser.add_argument("--b-im", type=float, default=d.b_im, help=f"Im(b) (default {d.b_im:g})")
-    parser.add_argument("--trials", type=int, default=d.trials, help=f"Monte Carlo trials (default {d.trials})")
-    parser.add_argument("--seed", type=int, default=d.seed, help=f"sampling seed (default {d.seed})")
-    parser.add_argument(
-        "--tolerance", type=float, default=d.tolerance, help=f"certainty tolerance (default {d.tolerance:g})"
-    )
     parser.add_argument("--format", choices=_FORMATS, default=d.format, help="report format")
 
 
@@ -269,9 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify certain-value inference arguments on three-qubit entangled states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    d = RunConfig()  # the one source of every default
 
     verify = sub.add_parser("verify", help="run the analytic checks of a scenario")
-    _add_common_options(verify)
+    _add_common_options(verify, d)
     verify.add_argument(
         "--flip-claim",
         type=int,
@@ -281,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sample = sub.add_parser("sample", help="run the scenario's seeded Monte Carlo measurements")
-    _add_common_options(sample)
+    _add_common_options(sample, d)
+    sample.add_argument("--trials", type=int, default=d.trials, help=f"Monte Carlo trials (default {d.trials})")
+    sample.add_argument("--seed", type=int, default=d.seed, help=f"sampling seed (default {d.seed})")
     return parser
 
 
@@ -312,7 +304,7 @@ def _is_float(text: str) -> bool:
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        # sample has no --flip-claim, so that field keeps its default
+        # an option the subcommand lacks (--flip-claim for sample; --trials, --seed for verify) keeps its default
         config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

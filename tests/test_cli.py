@@ -175,9 +175,20 @@ def test_unknown_scenario_exits_2():
 
 
 def test_trials_must_be_positive(capsys):
-    for command in ("verify", "sample"):
-        assert main([command, "--scenario", "bell-ghz", "--trials", "0"]) == 2
-        assert capsys.readouterr() == ("", "error: --trials must be positive\n")
+    assert main(["sample", "--scenario", "bell-ghz", "--trials", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --trials must be positive\n")
+
+
+@pytest.mark.parametrize(
+    "argv", ["verify --tolerance 0", "sample --tolerance 1e-10", "verify --trials 10", "verify --seed 3"]
+)
+def test_options_a_subcommand_lacks_are_usage_errors(argv, capsys):
+    # verify never samples, and certainty has one fixed bound, so neither takes these options
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: unrecognized arguments: {argv.split(maxsplit=1)[1]}\n")
 
 
 # argv -> the one stderr line of its exit 2; an argv that breaks several rules is named by the first
@@ -186,20 +197,13 @@ CLI_REJECTIONS = [
     ("verify --scenario bell-hardy --a-re 0 --b-re 1", "error: both amplitudes must be nonzero (a*b != 0)"),
     ("verify --scenario epr-psi --flip-claim 3", "error: flip index 3 out of range; scenario emits 3 claims"),
     ("verify --scenario epr-ghz --flip-claim -1", "error: flip index -1 out of range; scenario emits 24 claims"),
-    (
-        "verify --scenario all --flip-claim 0 --tolerance 2 --a-re 0.9 --trials 0",
-        "error: --flip-claim requires a single --scenario",
-    ),
-    (
-        "verify --scenario epr-psi --tolerance 2 --a-re 0.9 --trials 0",
-        "error: --tolerance must be a finite number in [0, 1), got 2.0",
-    ),
+    ("verify --scenario all --flip-claim 0 --a-re 0.9", "error: --flip-claim requires a single --scenario"),
     ("sample --scenario bell-hardy --a-re 0.9 --trials 0", _OFF_CONSTRAINT),
     ("verify --scenario epr-psi --flip-claim 7 --a-re 0.9", _OFF_CONSTRAINT),
     # squaring 1e300, or taking abs() of 1.7e308+1.7e308j, raises OverflowError
     *(
-        (f"{command} --scenario epr-psi {amplitudes} --trials 10", _MODULUS_ABOVE_ONE)
-        for command in ("verify", "sample")
+        (f"{command} --scenario epr-psi {amplitudes}{trials}", _MODULUS_ABOVE_ONE)
+        for command, trials in (("verify", ""), ("sample", " --trials 10"))
         for amplitudes in (
             "--a-re 1e300", "--a-im 1e300", "--b-re 1e300", "--b-im 1e300", "--a-re 1.7e308 --a-im 1.7e308"
         )
@@ -213,27 +217,13 @@ def test_cli_rejection(argv, line, capsys):
     assert capsys.readouterr() == ("", line + "\n")
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "1", "1.5"])
-@pytest.mark.parametrize("command", ["verify", "sample"])
-def test_tolerance_outside_unit_interval_exits_2(command, tolerance, capsys):
-    argv = [command, "--scenario", "epr-psi", f"--tolerance={tolerance}", "--trials", "10"]
-    if command == "verify":
-        argv += ["--flip-claim", "0"]
-    assert main(argv) == 2
-    line = f"error: --tolerance must be a finite number in [0, 1), got {float(tolerance)}\n"
-    assert capsys.readouterr() == ("", line)
-
-
 @pytest.mark.parametrize(
     "kwargs, message",
     [
         ({"scenario": "nope"}, "--scenario must be one of epr-psi, epr-ghz, bell-hardy, bell-ghz, all; got 'nope'"),
-        (
-            {"scenario": "epr-psi", "tolerance": math.inf, "flip_claim": 0},
-            "--tolerance must be a finite number in [0, 1), got inf",
-        ),
-        ({"tolerance": math.nan}, "--tolerance must be a finite number in [0, 1), got nan"),
-        ({"tolerance": -1e-12}, "--tolerance must be a finite number in [0, 1), got -1e-12"),
+        ({"trials": 0}, "--trials must be positive"),
+        ({"scenario": "epr-psi", "a_re": 0.9}, _OFF_CONSTRAINT.removeprefix("error: ")),
+        ({"scenario": "bell-hardy", "a_re": 0.0, "b_re": 1.0}, "both amplitudes must be nonzero (a*b != 0)"),
         ({"format": "xml"}, "--format must be text or json, got 'xml'"),
         ({"flip_claim": 0}, "--flip-claim requires a single --scenario"),
     ],
@@ -296,13 +286,13 @@ def _amplitude_flags(a_re):
 @pytest.mark.parametrize("command", ["verify", "sample"])
 def test_a_at_or_below_zero_probability_tolerance_exits_2(command, capsys):
     # |a|^2 = 4.9e-13 and 1e-12: sigma_z(1)=+1, of probability 2|a|^2, would count as impossible
+    trials = ["--trials", "1000"] if command == "sample" else []
     for a_re in (7e-7, 1e-6):
-        argv = [command, "--scenario", "all", *_amplitude_flags(a_re), "--trials", "1000"]
-        assert main(argv) == 2
+        assert main([command, "--scenario", "all", *_amplitude_flags(a_re), *trials]) == 2
         assert capsys.readouterr() == ("", "error: |a|^2 must exceed the zero-probability tolerance 1e-12\n")
     # one step above the bound every check passes
     above = math.nextafter(1e-6, 1.0)
-    assert main([command, "--scenario", "all", *_amplitude_flags(above), "--trials", "1000"]) == 0
+    assert main([command, "--scenario", "all", *_amplitude_flags(above), *trials]) == 0
     assert capsys.readouterr().err == ""
 
 

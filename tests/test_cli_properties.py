@@ -70,22 +70,18 @@ def test_admissible_amplitudes_give_true_verdicts(amps):
     st.sampled_from(SCENARIOS).flatmap(
         lambda s: st.tuples(st.just(s), st.integers(0, 2 if s in PSI_SCENARIOS else 23))
     ),
-    st.floats(0.0, 1.0, exclude_max=True),
     amplitude_flags(),
 )
-def test_any_flipped_claim_exits_1_between_passing_calls(flip, tolerance, amps):
+def test_any_flipped_claim_exits_1_between_passing_calls(flip, amps):
     scenario, index = flip
     passing = ["verify", "--scenario", scenario, *amps, "--format", "json"]
     first = run(passing)
     assert first[0] == 0
 
-    code, out, err = run(passing + ["--flip-claim", str(index), f"--tolerance={tolerance!r}"])
+    code, out, err = run(passing + ["--flip-claim", str(index)])
     assert code == 1
     report = json.loads(out)
-    failing = [c["anchor"] for c in report["checks"] if not c["pass"]]
-    assert flipped_anchor(scenario, index) in failing
-    if tolerance >= 1e-10:  # tighter tolerances may also fail the unflipped claims by roundoff
-        assert failing == [flipped_anchor(scenario, index)]
+    assert [c["anchor"] for c in report["checks"] if not c["pass"]] == [flipped_anchor(scenario, index)]
     assert False in report["verdicts"].values()
     assert err.startswith("FAIL: ") and err.count("\n") == 1
 
@@ -96,12 +92,12 @@ def test_any_flipped_claim_exits_1_between_passing_calls(flip, tolerance, amps):
 @given(
     st.sampled_from(["verify", "sample"]),
     st.sampled_from(["all", *PSI_SCENARIOS]),
-    st.sampled_from(["--a-re", "--a-im", "--b-re", "--b-im", "--tolerance"]),
+    st.sampled_from(["--a-re", "--a-im", "--b-re", "--b-im"]),
     st.sampled_from(NON_FINITE),
     st.booleans(),
 )
-def test_non_finite_amplitude_or_tolerance_exits_2(command, scenario, flag, value, attached):
+def test_non_finite_amplitude_exits_2(command, scenario, flag, value, attached):
     option = [f"{flag}={value}"] if attached else [flag, value]
-    code, out, err = run([command, "--scenario", scenario, *option, "--trials", "10", "--format", "json"])
+    code, out, err = run([command, "--scenario", scenario, *option, "--format", "json"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1

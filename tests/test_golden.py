@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import pathlib
+import re
 import runpy
 
 import pytest
@@ -35,7 +36,8 @@ def test_golden_output(digest, command):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 DEMO_DIGESTS = {
     "01_certainty_chain": "ff7b3dee13d403286347b39bf5487788ddac7d0bb45db5345942621e6aa6f8d8",
     "02_incompleteness": "08723d48348e6e6b53c878347cf456190acf54eaa3f36c26c4523137200f972a",
@@ -64,13 +66,11 @@ def _corpus() -> list[list[str]]:
                 for seed in ("0", "383"):
                     corpus.append(["sample", "--scenario", scenario, "--format", fmt, "--trials", trials, "--seed", seed])
     for scenario, n in claims.items():
-        for tolerance in ("0", "1e-10", "0.5"):
-            for flip in range(-1, n + 2):
-                corpus.append(["verify", "--scenario", scenario, "--tolerance", tolerance, "--flip-claim", str(flip)])
+        for flip in range(-1, n + 2):
+            corpus.append(["verify", "--scenario", scenario, "--flip-claim", str(flip)])
     for command in ("verify", "sample"):
         corpus += [
             [command, "--scenario", "epr-psi", "--a-re", "1e300"],
-            [command, "--tolerance", "nan"],
             [command, "--trials", "0"],
             [command, "--scenario", "nope"],
             [command, "--scenario", "all", "--a-re", "0.4", "--b-im", "-8e-05"],
@@ -78,7 +78,7 @@ def _corpus() -> list[list[str]]:
     return corpus
 
 
-CORPUS_DIGEST = "17b8e26255fc1501d13526f4f7cf03bb323035c564f60e3a58df73abe3f1f79c"
+CORPUS_DIGEST = "ef055d39bee39b21a6cbfe6922fcf7126edc72ab0b414c31aaf974d7dfcc2520"
 
 
 def test_cli_corpus(monkeypatch):
@@ -93,3 +93,15 @@ def test_cli_corpus(monkeypatch):
                 code = exc.code
         digest.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+def test_readme_tables_record_the_pinned_digests():
+    rows = re.findall(r"^\| (.+) \| `([0-9a-f]{64})` \|$", ROOT.joinpath("README.md").read_text(), re.MULTILINE)
+    pinned = {
+        **{digest: f"`serlab {command}`" for digest, command in GOLDEN.items()},
+        **{digest: f"`python3 demos/{demo}.py`" for demo, digest in DEMO_DIGESTS.items()},
+        CORPUS_DIGEST: "test_cli_corpus",
+    }
+    assert sorted(digest for _, digest in rows) == sorted(pinned)
+    for label, digest in rows:
+        assert pinned[digest] in label

@@ -234,6 +234,14 @@ def test_has_common_eigenstate_cases():
         [tensor(pauli(Axis.X), identity(2)), tensor(identity(2), pauli(Axis.X)), hardy_projector()]
     )
     assert not has_common_eigenstate([pauli(Axis.X), pauli(Axis.Z)])
+    # the only shared eigenvector, |++>, sits at the last eigenvalue (3) of the last operator: B's other
+    # eigenvectors each mix |+->, in sigma_z(1)'s +1 eigenspace, with |-+> or |-->, in its -1 eigenspace
+    r3, r2, r6 = np.sqrt([3.0, 2.0, 6.0])
+    vectors = np.array(  # columns: B's eigenvectors for 3, 0, 1, 2, over |++>, |+->, |-+>, |-->
+        [[1, 0, 0, 0], [0, 1 / r3, 1 / r2, 1 / r6], [0, 1 / r3, -1 / r2, 1 / r6], [0, 1 / r3, 0, -2 / r6]]
+    )
+    b = Observable(vectors @ np.diag([3.0, 0.0, 1.0, 2.0]) @ vectors.T)
+    assert has_common_eigenstate([tensor(pauli(Axis.Z), identity(2)), b])
     with pytest.raises(ValueError):
         has_common_eigenstate([])
 

@@ -1,8 +1,11 @@
 """Tests for SER certification and the four scenarios of the scenario table."""
 
+import math
+
 import numpy as np
 import pytest
 
+from serlab import inference
 from serlab.inference import (
     SCENARIO_TABLE,
     SCENARIOS,
@@ -14,7 +17,7 @@ from serlab.inference import (
 )
 from serlab.hilbert import Observable
 from serlab.measurement import OutcomeAssignment, collapse
-from serlab.spin import Axis, hardy_projector, mermin_A, spin
+from serlab.spin import Axis, embed, hardy_projector, mermin_A, pauli, spin
 from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state
 
 from oracles import random_psi_params
@@ -40,32 +43,18 @@ def test_certify_accepts_genuine_claim():
 
 
 def test_certify_rejects_uncertain_claim():
-    # Conditioning on the minus branch leaves probability 1/2, not 1
+    # Conditioning on the minus branch leaves probability 1/2, not 1.  On the plus branch, sigma_x(2)
+    # tilted toward sigma_z(2) by theta misses -1 with probability sin^2(theta/2), 2.5e-11 down to
+    # 2.5e-23: 1 - p rounds all of these to 0 or to a few ulps of 1
     state = psi_state(DEFAULT)
-    claim = SerClaim(
-        spin(Axis.X, 2, 3),
-        -1.0,
-        OutcomeAssignment([(spin(Axis.Z, 1, 3), -1.0)]),
-        frozenset({1}),
-        frozenset({2}),
-    )
-    cert = certify_ser(state, claim)
-    assert not cert
-    assert cert.failed_clause == "not-certain"
-
-
-@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf"), -1e-12, 1.0])
-def test_certify_rejects_tolerance_outside_unit_interval(tolerance):
-    # a tolerance is not part of the claim, so a bad one raises instead of deciding a verdict
-    claim = SerClaim(
-        spin(Axis.X, 2, 3),
-        -1.0,
-        OutcomeAssignment([(spin(Axis.Z, 1, 3), +1.0)]),
-        frozenset({1}),
-        frozenset({2}),
-    )
-    with pytest.raises(ValueError, match=r"tolerance must be a finite number in \[0, 1\)"):
-        certify_ser(psi_state(DEFAULT), claim, tolerance=tolerance)
+    claims = [SerClaim(spin(Axis.X, 2, 3), -1.0, OutcomeAssignment([(spin(Axis.Z, 1, 3), -1.0)]), {1}, {2})]
+    for theta in (1e-5, 1e-7, 1e-9, 1e-11):
+        tilted = Observable(math.cos(theta) * pauli(Axis.X).matrix + math.sin(theta) * pauli(Axis.Z).matrix)
+        tilted = embed(tilted, 2, 3)
+        claims.append(SerClaim(tilted, -1.0, OutcomeAssignment([(spin(Axis.Z, 1, 3), +1.0)]), {1}, {2}))
+    for claim in claims:
+        cert = certify_ser(state, claim)
+        assert (cert.ok, cert.failed_clause) == (False, "not-certain")
 
 
 @pytest.mark.parametrize("region", ["inferring_region", "target_region"])
@@ -138,18 +127,15 @@ def test_certify_rejects_overlapping_regions():
 
 
 def test_certify_rejects_nonlocal_conditioning():
-    # Claimed inferring region {3}, but the conditioning observable acts on particle 1
+    # Claimed inferring region {3}, but the conditioning observable acts on particle 1; then region {1},
+    # with a second conditioning observable on particle 3, which leaves the claim otherwise certain
     state = psi_state(DEFAULT)
-    claim = SerClaim(
-        spin(Axis.X, 2, 3),
-        -1.0,
-        OutcomeAssignment([(spin(Axis.Z, 1, 3), +1.0)]),
-        frozenset({3}),
-        frozenset({2}),
-    )
-    cert = certify_ser(state, claim)
-    assert not cert
-    assert cert.failed_clause == "conditioning-not-local"
+    sz1, sz3 = spin(Axis.Z, 1, 3), spin(Axis.Z, 3, 3)
+    for conditioning, region in [([(sz1, +1.0)], {3}), ([(sz1, +1.0), (sz3, +1.0)], {1})]:
+        claim = SerClaim(spin(Axis.X, 2, 3), -1.0, OutcomeAssignment(conditioning), region, {2})
+        cert = certify_ser(state, claim)
+        assert not cert
+        assert cert.failed_clause == "conditioning-not-local"
 
 
 def test_certify_rejects_incompatible_target():
@@ -236,6 +222,17 @@ def test_psi_verdict_false_beside_failing_check(scenario, monkeypatch):
     assert not report.passed()
     assert report.first_failure().anchor.endswith(":postselect")
     assert {report.incompleteness_verdict, report.contradiction_verdict} == {False, None}
+
+
+def test_post_selection_check_is_relative(monkeypatch):
+    # at |a|^2 = 1e-11 the bell-hardy post-selection probability is 2.5e-12, so an absolute bound of
+    # 1e-12 would pass a value 20% off
+    params = PsiParams(math.sqrt(1e-11), math.sqrt(1.0 - 3e-11))
+    assert run_scenario("bell-hardy", params).passed()
+    exact = inference.outcome_probability
+    monkeypatch.setattr(inference, "outcome_probability", lambda state, assignment: 1.2 * exact(state, assignment))
+    report = run_scenario("bell-hardy", params)
+    assert [check.anchor for check in report.checks if not check.passed] == ["bell-hardy:postselect"]
 
 
 def test_run_scenario_dispatch():
