@@ -179,16 +179,26 @@ def test_trials_must_be_positive(capsys):
     assert capsys.readouterr() == ("", "error: --trials must be positive\n")
 
 
-@pytest.mark.parametrize(
-    "argv", ["verify --tolerance 0", "sample --tolerance 1e-10", "verify --trials 10", "verify --seed 3"]
-)
+@pytest.mark.parametrize("argv", ["verify --trials 10", "verify --seed 3"])
 def test_options_a_subcommand_lacks_are_usage_errors(argv, capsys):
-    # verify never samples, and certainty has one fixed bound, so neither takes these options
+    # verify never samples, so it takes no sampling options
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.endswith(f"error: unrecognized arguments: {argv.split(maxsplit=1)[1]}\n")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "1", "1.5"])
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_tolerance_outside_unit_interval_exits_2(command, tolerance, capsys):
+    # certainty has one fixed bound, so --tolerance is no option at all: any value is a usage error
+    extra = ["--flip-claim", "0"] if command == "verify" else ["--trials", "10"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", "epr-psi", f"--tolerance={tolerance}", *extra])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: unrecognized arguments: --tolerance={tolerance}\n")
 
 
 # argv -> the one stderr line of its exit 2; an argv that breaks several rules is named by the first
