@@ -32,6 +32,7 @@ class RunConfig:
     """One run's settings; construction applies the CLI's rules, raising ``ValueError`` at the first broken.
 
     A bool or float ``trials``, ``seed`` or ``flip_claim`` raises ``TypeError``; a numpy integer becomes an int.
+    The rules of one command are applied when it runs: ``sample`` needs ``trials >= 1``, which ``verify`` never reads.
     """
 
     scenario: str = "all"
@@ -56,8 +57,6 @@ class RunConfig:
         for name in ("trials", "seed", "flip_claim"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _index(getattr(self, name)))
-        if self.trials < 1:
-            raise ValueError("--trials must be positive")
 
     def selected(self) -> list[str]:
         return list(SCENARIOS) if self.scenario == "all" else [self.scenario]
@@ -197,6 +196,8 @@ def _value_text(value) -> str:
 def _run_reports(command: str, config: RunConfig) -> list[ScenarioReport]:
     if command not in ("verify", "sample"):
         raise ValueError(f"unknown command {command!r}; expected verify or sample")
+    if command == "sample" and config.trials < 1:
+        raise ValueError("--trials must be positive")
     if command == "sample" and config.flip_claim is not None:
         raise ValueError("--flip-claim applies to verify only; sample has no claims to flip")
     reports = []

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -48,6 +48,7 @@ from .hilbert import (
     _index,
     acts_only_on,
     has_common_eigenstate,
+    joint_fact,
 )
 from .measurement import (
     NEGLIGIBLE_PROBABILITY,
@@ -84,7 +85,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SerClaim:
-    """A predicted-with-certainty value for an observable on an undisturbed group."""
+    """A predicted-with-certainty value for an observable on an undisturbed group.
+
+    What never depends on a state (the verdict of the first three clauses and
+    the two projectors) is computed on first use and kept on the instance, so
+    it is freed with the claim; ``dataclasses.replace`` starts a new memo.
+    """
 
     observable: Observable
     predicted_value: float
@@ -108,6 +114,40 @@ class SerClaim:
     def describe(self) -> str:
         return f"{_label(self.observable)}={self.predicted_value:+g} given {self.conditioning.describe()}"
 
+    @cached_property
+    def _structural_failure(self) -> Certification | None:
+        """The first failed clause of the three that never read a state, or None.
+
+        They are judged in the order region-overlap, conditioning-not-local, incompatible-target.
+        """
+        if self.inferring_region & self.target_region:
+            return Certification(
+                False,
+                "region-overlap",
+                f"inferring region {sorted(self.inferring_region)} intersects "
+                f"target region {sorted(self.target_region)}",
+            )
+        for obs, _ in self.conditioning.pairs:
+            if not acts_only_on(obs, self.inferring_region, self.observable.num_particles):
+                return Certification(
+                    False,
+                    "conditioning-not-local",
+                    f"{_label(obs)} acts outside the inferring region {sorted(self.inferring_region)}",
+                )
+        if not all(commutes(obs, self.observable) for obs, _ in self.conditioning.pairs):
+            return Certification(False, "incompatible-target", "target does not commute with the conditioning set")
+        return None
+
+    @cached_property
+    def _conditioning_projector(self) -> np.ndarray:
+        """The joint projector of the conditioning outcome."""
+        return self.conditioning.joint_projector()
+
+    @cached_property
+    def _target_projector(self) -> np.ndarray:
+        """The eigenprojector of the predicted value."""
+        return _eigenprojector(self.observable, self.predicted_value)
+
 
 @dataclass(frozen=True)
 class Certification:
@@ -121,9 +161,13 @@ class Certification:
         return self.ok
 
 
-def _miss_probability(phi: np.ndarray, obs: Observable, value: float) -> float:
-    """``|phi - P phi|^2 / |phi|^2``, ``P`` the eigenprojector of ``value``: the chance ``obs`` on ``phi`` misses it."""
-    residual = phi - obs.spectral().projectors[_spectral_index(obs, value)] @ phi
+def _eigenprojector(obs: Observable, value: float) -> np.ndarray:
+    return obs.spectral().projectors[_spectral_index(obs, value)]
+
+
+def _miss_probability(phi: np.ndarray, projector: np.ndarray) -> float:
+    """``|phi - P phi|^2 / |phi|^2``, ``P`` an eigenprojector: the chance that measuring on ``phi`` misses its value."""
+    residual = phi - projector @ phi
     return float(np.real(np.vdot(residual, residual) / np.vdot(phi, phi)))
 
 
@@ -133,29 +177,17 @@ def certify_ser(state: StateVector, claim: SerClaim) -> Certification:
     Certain means a miss probability ``|phi - P_t phi|^2 / |phi|^2 <= CERTAINTY_TOL``, with ``phi = P_g psi``
     the state projected by the conditioning and ``P_t`` the target's eigenprojector: computed from the residual,
     it resolves misses far below the ~1e-16 that ``1 - p`` can.  A state of another space raises ``ValueError``.
+    Only condition-unpreparable and not-certain read the state; the claim keeps the verdict of the checks before them.
     """
     if state.dim != claim.observable.dim:
         raise ValueError("state and claim live in different spaces")
-    if claim.inferring_region & claim.target_region:
-        return Certification(
-            False,
-            "region-overlap",
-            f"inferring region {sorted(claim.inferring_region)} intersects "
-            f"target region {sorted(claim.target_region)}",
-        )
-    for obs, _ in claim.conditioning.pairs:
-        if not acts_only_on(obs, claim.inferring_region, state.num_particles):
-            return Certification(
-                False,
-                "conditioning-not-local",
-                f"{_label(obs)} acts outside the inferring region {sorted(claim.inferring_region)}",
-            )
-    if not all(commutes(obs, claim.observable) for obs, _ in claim.conditioning.pairs):
-        return Certification(False, "incompatible-target", "target does not commute with the conditioning set")
-    phi = claim.conditioning.joint_projector() @ state.amplitudes
+    failure = claim._structural_failure
+    if failure is not None:
+        return failure
+    phi = claim._conditioning_projector @ state.amplitudes
     if np.vdot(phi, phi).real <= SCALAR_TOL:
         return Certification(False, "condition-unpreparable", "conditioning outcome has probability ~0")
-    miss = _miss_probability(phi, claim.observable, claim.predicted_value)
+    miss = _miss_probability(phi, claim._target_projector)
     if not miss <= CERTAINTY_TOL:
         return Certification(False, "not-certain", f"miss probability is {miss!r}, above {CERTAINTY_TOL:g}")
     return Certification(True)
@@ -233,16 +265,19 @@ class Scenario:
     measures the same triple.  Factories, not operators, so that nothing is
     built at import.  Without a ``post_selection`` the scenario runs on the
     GHZ-Mermin state in all 8 sign branches, each predicted value equal to
-    its branch sign.
+    its branch sign.  ``structure`` takes no state, so its checks are built
+    once; the checks of ``state_structure`` are computed on every run and
+    reported before them.
     """
 
     measured: tuple[Callable[[], Observable], ...]
     targets: tuple[Callable[[], Observable], ...]
     target_regions: tuple[frozenset[int], ...]
-    structure: Callable[[str, StateVector], list[Check]]  # (name, state) -> checks
+    structure: Callable[[str], list[Check]]  # name -> checks that never read the state
     verdict: str  # "incompleteness" or "contradiction": true when every check passes
     post_selection: PostSelection | None = None
     product_constraint: float | None = None  # every sampled outcome triple multiplies to this
+    state_structure: Callable[[str, StateVector], list[Check]] | None = None  # (name, state) -> checks
 
     @property
     def needs_params(self) -> bool:
@@ -260,7 +295,7 @@ def _no_common_eigenstate(ops: list[Observable], anchor: str) -> Check:
     return Check(f"no common eigenstate of {{{labels}}}", anchor, False, shared, shared is False)
 
 
-def _targets_share_no_eigenstate(name: str, state: StateVector) -> list[Check]:
+def _targets_share_no_eigenstate(name: str) -> list[Check]:
     """No common eigenstate of the three psi targets, plus the pair-state caveat.
 
     On the two-particle Hardy state alone, the pi value rests on the
@@ -280,12 +315,12 @@ def _targets_share_no_eigenstate(name: str, state: StateVector) -> list[Check]:
     ]
 
 
-def _pairs_share_no_eigenstate(name: str, state: StateVector) -> list[Check]:
+def _pairs_share_no_eigenstate(name: str) -> list[Check]:
     pairs = itertools.combinations([mermin_A(j) for j in (1, 2, 3)], 2)
     return [_no_common_eigenstate([a, b], f"{name}:no-common-eigenstate:{a.label},{b.label}") for a, b in pairs]
 
 
-def _zero_operator(name: str, state: StateVector) -> list[Check]:
+def _zero_operator(name: str) -> list[Check]:
     triple = OutcomeAssignment([(spin(Axis.Z, 1, 3), -1.0), (spin(Axis.Z, 2, 3), -1.0), (hardy_projector(3), 1.0)])
     norm = float(np.max(np.abs(triple.joint_projector())))
     return [
@@ -297,18 +332,23 @@ def _zero_operator(name: str, state: StateVector) -> list[Check]:
     ]
 
 
-def _x_product_against_identity(name: str, state: StateVector) -> list[Check]:
+def _x_product_certainty(name: str, state: StateVector) -> list[Check]:
     x_product = spin_product(Axis.X, 3)
     p_minus = outcome_probability(state, OutcomeAssignment([(x_product, -1.0)]))
-    certain = _miss_probability(state.amplitudes, x_product, -1.0) <= CERTAINTY_TOL
-    b_product = mermin_B(1).matrix @ mermin_B(2).matrix @ mermin_B(3).matrix
-    identity_dev = float(np.max(np.abs(b_product - np.eye(8))))
+    certain = _miss_probability(state.amplitudes, _eigenprojector(x_product, -1.0)) <= CERTAINTY_TOL
     return [
         Check(
             "P(sigma_x(1) sigma_x(2) sigma_x(3) = -1) = 1, so the inferred product "
             "eps_1 eps_2 eps_3 is -1 in every branch",
             f"{name}:x-product-certainty", 1.0, p_minus, certain,
-        ),
+        )
+    ]
+
+
+def _b_product_identity(name: str) -> list[Check]:
+    b_product = mermin_B(1).matrix @ mermin_B(2).matrix @ mermin_B(3).matrix
+    identity_dev = float(np.max(np.abs(b_product - np.eye(8))))
+    return [
         Check(
             "B_1 B_2 B_3 is the identity operator, so directly measured B values multiply to +1 in every state",
             f"{name}:b-product-identity", 0.0, identity_dev, identity_dev < EXACT_ENTRY_TOL,
@@ -352,9 +392,10 @@ SCENARIO_TABLE: dict[str, Scenario] = {
         measured=_spins(Axis.X, Axis.X, Axis.X),
         targets=tuple(partial(mermin_B, j) for j in (1, 2, 3)),
         target_regions=_GHZ_TARGET_REGIONS,
-        structure=_x_product_against_identity,
+        structure=_b_product_identity,
         verdict="contradiction",
         product_constraint=-1.0,
+        state_structure=_x_product_certainty,
     ),
 }
 
@@ -387,6 +428,50 @@ def _flip(claims: list[SerClaim], which: int) -> None:
     claims[which] = replace(claim, predicted_value=others[0])
 
 
+@dataclass(frozen=True)
+class _FixedPart:
+    """What a run of one scenario computes without reading the state."""
+
+    post_selection: OutcomeAssignment | None
+    claims: tuple[SerClaim, ...]  # unflipped, in report order
+    branch_texts: tuple[tuple[str, str], ...]  # (description, anchor) per sign branch; () when post-selected
+    structure: tuple[Check, ...]
+
+
+def _branch_text(scenario: str, targets: list[Observable], eps: tuple[float, ...]) -> tuple[str, str]:
+    """The description and anchor of one sign branch's check."""
+    label = ",".join(f"{e:+g}" for e in eps)
+    values = ", ".join(f"{target.label}={e:+g}" for target, e in zip(targets, eps))
+    return f"branch ({label}): SERs {values} all certified", f"{scenario}:branch:{label}"
+
+
+def _fixed_part(scenario: str, spec: Scenario, measured: list[Observable], targets: list[Observable]) -> _FixedPart:
+    """The scenario's post-selection, claims and state-free structure checks, built on the first run.
+
+    Memoised on the scenario's shared operators (see :func:`hilbert.joint_fact`), so it is freed, and
+    built again, with them.
+    """
+
+    def build() -> _FixedPart:
+        post = spec.post_selection
+        if post is None:
+            post_selection = None
+            branches = [(eps, eps) for eps in _SIGN_BRANCHES]  # (measured outcomes, predicted values)
+            branch_texts = tuple(_branch_text(scenario, targets, eps) for eps in _SIGN_BRANCHES)
+        else:
+            post_selection = OutcomeAssignment([(obs, +1.0) for obs in measured])
+            branches = [((+1.0, +1.0, +1.0), post.predicted)]
+            branch_texts = ()
+        claims = tuple(
+            SerClaim(targets[k], values[k], OutcomeAssignment([(measured[k], outcomes[k])]), {k + 1}, region)
+            for outcomes, values in branches
+            for k, region in enumerate(spec.target_regions)
+        )
+        return _FixedPart(post_selection, claims, branch_texts, tuple(spec.structure(scenario)))
+
+    return joint_fact((*measured, *targets), ("scenario", scenario), build)
+
+
 def run_scenario(
     scenario: str,
     params: PsiParams | None = None,
@@ -400,16 +485,19 @@ def run_scenario(
     ANDs the branch's three certifications, since the argument covers
     whatever results the measurements produce.  Every check is a premise of
     the argument, so the verdict is ``report.passed()``: a failing check,
-    even a NaN post-selection value, voids it.
+    even a NaN post-selection value, voids it.  The claims and every check
+    that does not read the state are built once (:func:`_fixed_part`); a
+    flipped claim replaces one entry of a copy of the claim list.
     """
     spec, state, params = _prepare(scenario, params)
     measured = [make() for make in spec.measured]
     targets = [make() for make in spec.targets]
+    fixed = _fixed_part(scenario, spec, measured, targets)
     report = ScenarioReport(scenario=scenario, parameters=params)
 
     post = spec.post_selection
     if post is not None:
-        report.post_selection = OutcomeAssignment([(obs, +1.0) for obs in measured])
+        report.post_selection = fixed.post_selection
         p_post = outcome_probability(state, report.post_selection)
         expected_post = post.weight * abs(params.a) ** 2
         close = abs(p_post - expected_post) <= SCALAR_TOL * expected_post  # relative: |a|^2 may be ~1e-12
@@ -420,15 +508,8 @@ def run_scenario(
                 f"{scenario}:postselect", expected_post, p_post, close,
             )
         )
-        branches = [((+1.0, +1.0, +1.0), post.predicted)]  # (measured outcomes, predicted values)
-    else:
-        branches = [(eps, eps) for eps in _SIGN_BRANCHES]
 
-    claims = [
-        SerClaim(targets[k], values[k], OutcomeAssignment([(measured[k], outcomes[k])]), {k + 1}, region)
-        for outcomes, values in branches
-        for k, region in enumerate(spec.target_regions)
-    ]
+    claims = list(fixed.claims)
     if flip_claim is not None:
         _flip(claims, flip_claim)
     report.certified_claims = [(claim, certify_ser(state, claim)) for claim in claims]
@@ -439,14 +520,13 @@ def run_scenario(
             anchor = f"{scenario}:certainty:{claim.observable.label}"
             report.checks.append(Check(f"certified SER {claim.describe()}{detail}", anchor, True, cert.ok, cert.ok))
     else:
-        for b, eps in enumerate(_SIGN_BRANCHES):
+        for b, (description, anchor) in enumerate(fixed.branch_texts):
             ok = all(cert.ok for _, cert in report.certified_claims[3 * b : 3 * b + 3])
-            label = ",".join(f"{e:+g}" for e in eps)
-            values = ", ".join(f"{target.label}={e:+g}" for target, e in zip(targets, eps))
-            description = f"branch ({label}): SERs {values} all certified"
-            report.checks.append(Check(description, f"{scenario}:branch:{label}", True, ok, ok))
+            report.checks.append(Check(description, anchor, True, ok, ok))
 
-    report.checks.extend(spec.structure(scenario, state))
+    if spec.state_structure is not None:
+        report.checks.extend(spec.state_structure(scenario, state))
+    report.checks.extend(fixed.structure)
     setattr(report, f"{spec.verdict}_verdict", report.passed())
     return report
 

@@ -231,7 +231,7 @@ def test_cli_rejection(argv, line, capsys):
     "kwargs, message",
     [
         ({"scenario": "nope"}, "--scenario must be one of epr-psi, epr-ghz, bell-hardy, bell-ghz, all; got 'nope'"),
-        ({"trials": 0}, "--trials must be positive"),
+        ({"scenario": "bell-hardy", "b_im": math.inf}, "amplitudes must be finite"),
         ({"scenario": "epr-psi", "a_re": 0.9}, _OFF_CONSTRAINT.removeprefix("error: ")),
         ({"scenario": "bell-hardy", "a_re": 0.0, "b_re": 1.0}, "both amplitudes must be nonzero (a*b != 0)"),
         ({"format": "xml"}, "--format must be text or json, got 'xml'"),
@@ -242,6 +242,17 @@ def test_run_config_rejects_what_main_rejects(kwargs, message):
     with pytest.raises(ValueError) as exc:
         RunConfig(**kwargs)
     assert str(exc.value) == message
+
+
+def test_sample_rejects_trials_below_one(capsys):
+    assert run_command("sample", RunConfig(scenario="epr-psi", trials=0)) == 2
+    assert capsys.readouterr() == ("", "error: --trials must be positive\n")
+
+
+def test_verify_ignores_trials():
+    # verify never samples, so a trial count it cannot use is no error
+    assert run_verify(scenario="epr-psi", trials=0, format="json") == run_verify(scenario="epr-psi", format="json")
+    assert run_verify(scenario="epr-psi", trials=0)[0] == 0
 
 
 def test_run_command_rejects_unknown_command(capsys):

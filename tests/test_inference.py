@@ -1,11 +1,20 @@
 """Tests for SER certification and the four scenarios of the scenario table."""
 
+import contextlib
+import gc
+import importlib
+import io
 import math
+import tracemalloc
+import weakref
+from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from serlab import inference
+from serlab.cli import main
 from serlab.inference import (
     SCENARIO_TABLE,
     SCENARIOS,
@@ -15,14 +24,23 @@ from serlab.inference import (
     run_scenario,
     sample_scenario,
 )
-from serlab.hilbert import Observable
+from serlab.hilbert import _PARTNERS, Observable, StateVector
 from serlab.measurement import OutcomeAssignment, collapse
 from serlab.spin import Axis, embed, hardy_projector, mermin_A, pauli, spin
 from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state
 
-from oracles import random_psi_params
+from oracles import distinct_eigenvalues, joint_probability, random_psi_params, random_unitary
 
 DEFAULT = PsiParams(0.5, 0.5)
+spin_module = importlib.import_module("serlab.spin")  # the package exports a function named spin
+
+
+def _params(scenario):
+    return DEFAULT if SCENARIO_TABLE[scenario].needs_params else None
+
+
+def _state(scenario):
+    return psi_state(DEFAULT) if SCENARIO_TABLE[scenario].needs_params else ghz_mermin_state()
 
 
 # --- certification ---------------------------------------------------------------
@@ -286,6 +304,172 @@ def test_every_emitted_claim_recertifies():
         for claim, cert in report.certified_claims:
             assert bool(cert)
             assert bool(certify_ser(state, claim))
+
+
+# --- what a run builds once ------------------------------------------------------------
+
+
+def _cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_flipped_runs_leave_the_shared_claims_untouched(scenario):
+    def claims(flip_claim=None):
+        return [claim for claim, _ in run_scenario(scenario, _params(scenario), flip_claim=flip_claim).certified_claims]
+
+    argv = ["verify", "--scenario", scenario, "--format", "json"]
+    first = _cli(argv)
+    shared = claims()
+    assert first[0] == 0 and all(a is b for a, b in zip(claims(), shared))
+    for k in range(len(shared)):
+        assert _cli([*argv, "--flip-claim", str(k)])[0] == 1
+        flipped = claims(k)
+        assert [a is b for a, b in zip(flipped, shared)] == [i != k for i in range(len(shared))]
+    assert _cli(argv) == first
+    assert all(a is b for a, b in zip(claims(), shared))
+
+
+def test_replaced_claim_recomputes_its_clauses():
+    state = psi_state(DEFAULT)
+    claim = SerClaim(spin(Axis.X, 2, 3), -1.0, OutcomeAssignment([(spin(Axis.Z, 1, 3), +1.0)]), {1}, {2})
+    assert certify_ser(state, claim)
+    variants = {
+        "region-overlap": replace(claim, target_region=frozenset({1, 2})),
+        "conditioning-not-local": replace(claim, inferring_region=frozenset({3})),
+        "incompatible-target": replace(claim, observable=spin(Axis.X, 1, 3)),
+        "not-certain": replace(claim, predicted_value=1.0),
+    }
+    for clause, variant in variants.items():
+        assert certify_ser(state, variant).failed_clause == clause
+    assert certify_ser(state, claim) and certify_ser(state, claim).failed_clause is None
+
+
+def test_one_claim_is_judged_afresh_on_each_state():
+    claim = SerClaim(spin(Axis.X, 2, 3), -1.0, OutcomeAssignment([(spin(Axis.Z, 1, 3), +1.0)]), {1}, {2})
+    for _ in range(2):
+        assert certify_ser(psi_state(DEFAULT), claim)
+        assert certify_ser(ghz_mermin_state(), claim).failed_clause == "not-certain"  # misses with probability 1/2
+
+
+def test_user_claim_and_its_memo_are_freed_together():
+    observable = Observable(spin(Axis.X, 2, 3).matrix, label="sigma_x(2) by hand")
+    claim = SerClaim(observable, -1.0, OutcomeAssignment([(spin(Axis.Z, 1, 3), +1.0)]), {3}, {2})
+    verdict = certify_ser(psi_state(DEFAULT), claim)
+    assert verdict.failed_clause == "conditioning-not-local"
+    assert certify_ser(psi_state(DEFAULT), claim) is verdict  # the claim holds it
+    refs = [weakref.ref(obj) for obj in (claim, verdict, observable)]
+    del claim, verdict, observable
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_nonlocal_second_pair_fails_after_honest_claims():
+    for name in SCENARIOS:
+        assert run_scenario(name, _params(name)).passed()
+    sz1, sz3 = spin(Axis.Z, 1, 3), spin(Axis.Z, 3, 3)
+    for pairs in ([(sz1, +1.0), (sz3, +1.0)], [(sz3, +1.0), (sz1, +1.0)]):
+        claim = SerClaim(spin(Axis.X, 2, 3), -1.0, OutcomeAssignment(pairs), {1}, {2})
+        cert = certify_ser(psi_state(DEFAULT), claim)
+        assert (cert.ok, cert.failed_clause) == (False, "conditioning-not-local")
+
+
+def _claim_tables(facts) -> int:
+    """The scenario entries of an ``Observable._facts`` memo, its partner maps included."""
+    count = sum(1 for key in facts if isinstance(key, tuple) and key[0] == "scenario")
+    return count + sum(_claim_tables(f) for f in facts.get(_PARTNERS, {}).values())
+
+
+def test_flip_runs_keep_memory_bounded():
+    # a flipped claim is the only claim a run builds; none may outlive its report
+    n_claims = {name: len(run_scenario(name, _params(name)).certified_claims) for name in SCENARIOS}
+
+    def tables():
+        return sum(_claim_tables(op._facts) for op in spin_module._SHARED.values())
+
+    def flips(n):
+        for k in range(n):
+            name = SCENARIOS[k % len(SCENARIOS)]
+            assert not run_scenario(name, _params(name), flip_claim=(k // len(SCENARIOS)) % n_claims[name]).passed()
+
+    flips(200)  # every flip index once
+    assert tables() == len(SCENARIOS)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        flips(2000)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tables() == len(SCENARIOS)
+    assert growth < 64 * 1024  # a claim kept per flip would take about 2000 kB
+
+
+# --- metamorphic: local unitaries --------------------------------------------------------
+
+
+def _oracle_miss(amplitudes, claim) -> float:
+    """P(target != predicted | conditioning) from joint eigenbases, or None when the conditioning has
+    probability ~0 or the target does not commute with it."""
+    given = [obs.matrix for obs, _ in claim.conditioning.pairs]
+    values = [value for _, value in claim.conditioning.pairs]
+    target = claim.observable.matrix
+    if any(np.abs(g @ target - target @ g).max() > 1e-9 for g in given):
+        return None
+    p_given = joint_probability(amplitudes, given, values) if given else 1.0
+    if p_given < 1e-9:
+        return None
+    others = [v for v in distinct_eigenvalues(target) if abs(v - claim.predicted_value) > 1e-6]
+    return sum(joint_probability(amplitudes, [*given, target], [*values, v]) for v in others) / p_given
+
+
+def _conjugated(claim, u):
+    def conj(obs):
+        return Observable(u @ obs.matrix @ u.conj().T, label=obs.label)
+
+    given = OutcomeAssignment([(conj(obs), value) for obs, value in claim.conditioning.pairs], dim=claim.conditioning.dim)
+    return SerClaim(conj(claim.observable), claim.predicted_value, given, claim.inferring_region, claim.target_region)
+
+
+def _hand_built_claims():
+    sz1, sz2, sz3 = (spin(Axis.Z, p, 3) for p in (1, 2, 3))
+    return [
+        SerClaim(spin(Axis.X, 2, 3), -1.0, OutcomeAssignment([(sz1, +1.0)]), {1, 2}, {2}),  # region-overlap
+        SerClaim(spin(Axis.X, 2, 3), -1.0, OutcomeAssignment([(sz1, +1.0), (sz3, +1.0)]), {1}, {2}),  # not local
+        SerClaim(spin(Axis.X, 1, 3), +1.0, OutcomeAssignment([(sz1, +1.0)]), {1}, {2}),  # incompatible
+        SerClaim(sz3, +1.0, OutcomeAssignment([(sz1, +1.0), (sz2, -1.0)]), {1, 2}, {3}),  # unpreparable on GHZ
+    ]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_local_unitaries_keep_every_verdict(scenario, seed):
+    # U1 x U2 x U3 maps each particle's operators to that particle, so regions, locality, commutation
+    # and every conditional probability stay the same
+    rng = np.random.default_rng(seed)
+    u = reduce(np.kron, [random_unitary(rng, 2) for _ in range(3)])
+    state = _state(scenario)
+    moved = StateVector(u @ state.amplitudes)
+    n = len(run_scenario(scenario, _params(scenario)).certified_claims)
+    claims = [claim for claim, _ in run_scenario(scenario, _params(scenario)).certified_claims]
+    claims += [run_scenario(scenario, _params(scenario), flip_claim=k).certified_claims[k][0] for k in (0, n - 1)]
+    claims += _hand_built_claims()
+    clauses = set()
+    for claim in claims:
+        before, after = certify_ser(state, claim), certify_ser(moved, _conjugated(claim, u))
+        assert (after.ok, after.failed_clause) == (before.ok, before.failed_clause), claim.describe()
+        clauses.add(before.failed_clause)
+        miss = _oracle_miss(state.amplitudes, claim)
+        if miss is not None:
+            assert abs(_oracle_miss(moved.amplitudes, _conjugated(claim, u)) - miss) <= 1e-12
+            if before.failed_clause in (None, "not-certain"):
+                assert (miss <= 1e-12) == before.ok
+    assert None in clauses and "not-certain" in clauses
 
 
 # --- Monte Carlo companions ------------------------------------------------------------
