@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,11 +165,10 @@ class Observable:
     """Immutable Hermitian operator with a lazily cached spectral decomposition.
 
     Neither the matrix nor ``label`` can change after construction, so one
-    instance can be shared.  Facts that depend only on operators (see
-    :func:`joint_fact`) are memoised on the instance and freed with it.
+    instance can be shared.
     """
 
-    __slots__ = ("_matrix", "_label", "_spectral", "_facts", "__weakref__")
+    __slots__ = ("_matrix", "_label", "_spectral", "__weakref__")
 
     def __init__(self, entries, label: str | None = None):
         mat = np.array(entries, dtype=complex)
@@ -187,7 +185,6 @@ class Observable:
         self._matrix = mat
         self._label = label
         self._spectral = None
-        self._facts = {}
 
     @property
     def matrix(self) -> np.ndarray:
@@ -217,30 +214,6 @@ class Observable:
     def __repr__(self) -> str:
         name = self.label or "Observable"
         return f"{name}[{self.dim}x{self.dim}]"
-
-
-_PARTNERS = "partners"
-
-
-def joint_fact(ops, key, compute):
-    """``compute()``, memoised as the fact ``key`` about the observables ``ops`` jointly.
-
-    For state-independent facts only.  The memo is held by ``ops[0]``, in
-    maps keyed weakly by each further observable, so a fact is freed as soon
-    as any observable it is about is freed.  Threads that race on a fact
-    compute equal values; ``setdefault`` keeps them on one shared map.
-    """
-    facts = ops[0]._facts
-    for other in ops[1:]:
-        partners = facts.get(_PARTNERS)
-        if partners is None:
-            partners = facts.setdefault(_PARTNERS, weakref.WeakKeyDictionary())
-        facts = partners.get(other)
-        if facts is None:
-            facts = partners.setdefault(other, {})
-    if key not in facts:
-        facts[key] = compute()
-    return facts[key]
 
 
 def tensor(a, b):
@@ -304,11 +277,8 @@ def has_common_eigenstate(ops) -> bool:
     if not ops:
         raise ValueError("need at least one observable")
 
-    def search() -> bool:
-        spectra = [op.eigenvalues() for op in ops]
-        return any(common_eigenstate_dim(ops, combo) >= 1 for combo in itertools.product(*spectra))
-
-    return joint_fact(ops, "has_common_eigenstate", search)
+    spectra = [op.eigenvalues() for op in ops]
+    return any(common_eigenstate_dim(ops, combo) >= 1 for combo in itertools.product(*spectra))
 
 
 def acts_only_on(op: Observable, particles, n_particles: int) -> bool:
@@ -316,8 +286,7 @@ def acts_only_on(op: Observable, particles, n_particles: int) -> bool:
 
     The reduced operator on the region is recovered by a normalized partial
     trace over the complement and compared entrywise against ``op`` within
-    ``OPERATOR_TOL``; the largest entrywise deviation is memoised on ``op``
-    per region.
+    ``OPERATOR_TOL``.
     """
     n_particles = _index(n_particles)
     region = tuple(sorted({_index(p) for p in particles}))
@@ -329,14 +298,11 @@ def acts_only_on(op: Observable, particles, n_particles: int) -> bool:
     if not rest:
         return True
 
-    def deviation() -> float:
-        perm = [p - 1 for p in region] + [p - 1 for p in rest]
-        tens = op.matrix.reshape([2] * (2 * n_particles))
-        tens = np.transpose(tens, perm + [n_particles + ax for ax in perm])
-        d_region, d_rest = 2 ** len(region), 2 ** len(rest)
-        blocks = tens.reshape(d_region, d_rest, d_region, d_rest)
-        reduced = np.einsum("ajbj->ab", blocks) / d_rest
-        rebuilt = np.kron(reduced, np.eye(d_rest))
-        return float(np.max(np.abs(rebuilt - blocks.reshape(op.dim, op.dim))))
-
-    return joint_fact((op,), ("acts_only_on", region), deviation) <= OPERATOR_TOL
+    perm = [p - 1 for p in region] + [p - 1 for p in rest]
+    tens = op.matrix.reshape([2] * (2 * n_particles))
+    tens = np.transpose(tens, perm + [n_particles + ax for ax in perm])
+    d_region, d_rest = 2 ** len(region), 2 ** len(rest)
+    blocks = tens.reshape(d_region, d_rest, d_region, d_rest)
+    reduced = np.einsum("ajbj->ab", blocks) / d_rest
+    rebuilt = np.kron(reduced, np.eye(d_rest))
+    return float(np.max(np.abs(rebuilt - blocks.reshape(op.dim, op.dim)))) <= OPERATOR_TOL

@@ -48,7 +48,6 @@ from .hilbert import (
     _index,
     acts_only_on,
     has_common_eigenstate,
-    joint_fact,
 )
 from .measurement import (
     NEGLIGIBLE_PROBABILITY,
@@ -60,7 +59,7 @@ from .measurement import (
     outcome_probability,
     sample_counts,
 )
-from .spin import Axis, hardy_projector, mermin_A, mermin_B, spin, spin_product
+from .spin import Axis, _shared, hardy_projector, mermin_A, mermin_B, spin, spin_product
 from .states import PsiParams, ghz_mermin_state, hardy_state, psi_state
 
 CERTAINTY_TOL = 1e-24  # the largest miss probability a certain claim may have
@@ -266,8 +265,9 @@ class Scenario:
     built at import.  Without a ``post_selection`` the scenario runs on the
     GHZ-Mermin state in all 8 sign branches, each predicted value equal to
     its branch sign.  ``structure`` takes no state, so its checks are built
-    once; the checks of ``state_structure`` are computed on every run and
-    reported before them.
+    once.  ``state_structure`` is called once too, and returns the function
+    of the state whose checks are computed on every run and reported before
+    them.
     """
 
     measured: tuple[Callable[[], Observable], ...]
@@ -277,7 +277,7 @@ class Scenario:
     verdict: str  # "incompleteness" or "contradiction": true when every check passes
     post_selection: PostSelection | None = None
     product_constraint: float | None = None  # every sampled outcome triple multiplies to this
-    state_structure: Callable[[str, StateVector], list[Check]] | None = None  # (name, state) -> checks
+    state_structure: Callable[[str], Callable[[StateVector], list[Check]]] | None = None  # name -> (state -> checks)
 
     @property
     def needs_params(self) -> bool:
@@ -332,17 +332,22 @@ def _zero_operator(name: str) -> list[Check]:
     ]
 
 
-def _x_product_certainty(name: str, state: StateVector) -> list[Check]:
-    x_product = spin_product(Axis.X, 3)
-    p_minus = outcome_probability(state, OutcomeAssignment([(x_product, -1.0)]))
-    certain = _miss_probability(state.amplitudes, _eigenprojector(x_product, -1.0)) <= CERTAINTY_TOL
-    return [
-        Check(
-            "P(sigma_x(1) sigma_x(2) sigma_x(3) = -1) = 1, so the inferred product "
-            "eps_1 eps_2 eps_3 is -1 in every branch",
-            f"{name}:x-product-certainty", 1.0, p_minus, certain,
-        )
-    ]
+def _x_product_certainty(name: str) -> Callable[[StateVector], list[Check]]:
+    minus = OutcomeAssignment([(spin_product(Axis.X, 3), -1.0)])
+    projector = _eigenprojector(*minus.pairs[0])
+
+    def checks(state: StateVector) -> list[Check]:
+        p_minus = outcome_probability(state, minus)
+        certain = _miss_probability(state.amplitudes, projector) <= CERTAINTY_TOL
+        return [
+            Check(
+                "P(sigma_x(1) sigma_x(2) sigma_x(3) = -1) = 1, so the inferred product "
+                "eps_1 eps_2 eps_3 is -1 in every branch",
+                f"{name}:x-product-certainty", 1.0, p_minus, certain,
+            )
+        ]
+
+    return checks
 
 
 def _b_product_identity(name: str) -> list[Check]:
@@ -430,12 +435,15 @@ def _flip(claims: list[SerClaim], which: int) -> None:
 
 @dataclass(frozen=True)
 class _FixedPart:
-    """What a run of one scenario computes without reading the state."""
+    """What a run or a sampling of one scenario computes without reading the state."""
 
+    measured: tuple[Observable, ...]
     post_selection: OutcomeAssignment | None
     claims: tuple[SerClaim, ...]  # unflipped, in report order
     branch_texts: tuple[tuple[str, str], ...]  # (description, anchor) per sign branch; () when post-selected
     structure: tuple[Check, ...]
+    state_structure: Callable[[StateVector], list[Check]] | None
+    outcomes: tuple[tuple[tuple[float, ...], OutcomeAssignment], ...]  # each outcome tuple of ``measured``
 
 
 def _branch_text(scenario: str, targets: list[Observable], eps: tuple[float, ...]) -> tuple[str, str]:
@@ -445,31 +453,31 @@ def _branch_text(scenario: str, targets: list[Observable], eps: tuple[float, ...
     return f"branch ({label}): SERs {values} all certified", f"{scenario}:branch:{label}"
 
 
-def _fixed_part(scenario: str, spec: Scenario, measured: list[Observable], targets: list[Observable]) -> _FixedPart:
-    """The scenario's post-selection, claims and state-free structure checks, built on the first run.
-
-    Memoised on the scenario's shared operators (see :func:`hilbert.joint_fact`), so it is freed, and
-    built again, with them.
-    """
-
-    def build() -> _FixedPart:
-        post = spec.post_selection
-        if post is None:
-            post_selection = None
-            branches = [(eps, eps) for eps in _SIGN_BRANCHES]  # (measured outcomes, predicted values)
-            branch_texts = tuple(_branch_text(scenario, targets, eps) for eps in _SIGN_BRANCHES)
-        else:
-            post_selection = OutcomeAssignment([(obs, +1.0) for obs in measured])
-            branches = [((+1.0, +1.0, +1.0), post.predicted)]
-            branch_texts = ()
-        claims = tuple(
-            SerClaim(targets[k], values[k], OutcomeAssignment([(measured[k], outcomes[k])]), {k + 1}, region)
-            for outcomes, values in branches
-            for k, region in enumerate(spec.target_regions)
-        )
-        return _FixedPart(post_selection, claims, branch_texts, tuple(spec.structure(scenario)))
-
-    return joint_fact((*measured, *targets), ("scenario", scenario), build)
+def _build_fixed_part(scenario: str) -> _FixedPart:
+    """The scenario's state-free part, built on its first run through ``spin._shared``, so once per process."""
+    spec = SCENARIO_TABLE[scenario]
+    measured = tuple(make() for make in spec.measured)
+    targets = [make() for make in spec.targets]
+    post = spec.post_selection
+    if post is None:
+        post_selection = None
+        branches = [(eps, eps) for eps in _SIGN_BRANCHES]  # (measured outcomes, predicted values)
+        branch_texts = tuple(_branch_text(scenario, targets, eps) for eps in _SIGN_BRANCHES)
+    else:
+        post_selection = OutcomeAssignment([(obs, +1.0) for obs in measured])
+        branches = [((+1.0, +1.0, +1.0), post.predicted)]
+        branch_texts = ()
+    claims = tuple(
+        SerClaim(targets[k], values[k], OutcomeAssignment([(measured[k], given[k])]), {k + 1}, region)
+        for given, values in branches
+        for k, region in enumerate(spec.target_regions)
+    )
+    state_structure = None if spec.state_structure is None else spec.state_structure(scenario)
+    tuples = itertools.product(*(o.eigenvalues() for o in measured))
+    outcomes = tuple((tup, OutcomeAssignment(list(zip(measured, tup)))) for tup in tuples)
+    return _FixedPart(
+        measured, post_selection, claims, branch_texts, tuple(spec.structure(scenario)), state_structure, outcomes
+    )
 
 
 def run_scenario(
@@ -486,13 +494,11 @@ def run_scenario(
     whatever results the measurements produce.  Every check is a premise of
     the argument, so the verdict is ``report.passed()``: a failing check,
     even a NaN post-selection value, voids it.  The claims and every check
-    that does not read the state are built once (:func:`_fixed_part`); a
-    flipped claim replaces one entry of a copy of the claim list.
+    that does not read the state are built once (:func:`_build_fixed_part`);
+    a flipped claim replaces one entry of a copy of the claim list.
     """
     spec, state, params = _prepare(scenario, params)
-    measured = [make() for make in spec.measured]
-    targets = [make() for make in spec.targets]
-    fixed = _fixed_part(scenario, spec, measured, targets)
+    fixed = _shared(_build_fixed_part, scenario)
     report = ScenarioReport(scenario=scenario, parameters=params)
 
     post = spec.post_selection
@@ -524,8 +530,8 @@ def run_scenario(
             ok = all(cert.ok for _, cert in report.certified_claims[3 * b : 3 * b + 3])
             report.checks.append(Check(description, anchor, True, ok, ok))
 
-    if spec.state_structure is not None:
-        report.checks.extend(spec.state_structure(scenario, state))
+    if fixed.state_structure is not None:
+        report.checks.extend(fixed.state_structure(state))
     report.checks.extend(fixed.structure)
     setattr(report, f"{spec.verdict}_verdict", report.passed())
     return report
@@ -547,7 +553,8 @@ def sample_scenario(
     possible but unseen are listed in the sampling stats.
     """
     spec, state, params = _prepare(scenario, params)
-    observables = [make() for make in spec.measured]
+    fixed = _shared(_build_fixed_part, scenario)
+    observables = fixed.measured
     product_constraint = spec.product_constraint
     report = ScenarioReport(scenario=scenario, parameters=params)
 
@@ -555,8 +562,7 @@ def sample_scenario(
     entries: list[FrequencyEntry] = []
     unobserved: list[tuple[float, ...]] = []
     product_violations = 0
-    for tup in itertools.product(*(o.eigenvalues() for o in observables)):
-        assignment = OutcomeAssignment(list(zip(observables, tup)))
+    for tup, assignment in fixed.outcomes:
         p = outcome_probability(state, assignment)
         count = counts.get(tup, 0)
         freq = count / trials
@@ -624,6 +630,8 @@ def hardy_null_outcome_scan(seed: int = 0, n_states: int = 20, trials: int = 100
     seed, n_states = _index(seed), _index(n_states)
     if n_states < 1:
         raise ValueError("n_states must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     hits: list[int] = []
     for s in range(n_states):

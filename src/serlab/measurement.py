@@ -17,11 +17,10 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .hilbert import OPERATOR_TOL, SCALAR_TOL, Observable, StateVector, _index, joint_fact
+from .hilbert import OPERATOR_TOL, SCALAR_TOL, Observable, StateVector, _index
 
 # an outcome of Born probability at or below this is never drawn, nor listed as admissible when unseen
 NEGLIGIBLE_PROBABILITY = 1e-15
@@ -55,17 +54,10 @@ class ZeroProbabilityError(ValueError):
 
 
 def commutes(a: Observable, b: Observable) -> bool:
-    """Whether the commutator ab - ba vanishes entrywise within ``OPERATOR_TOL``.
-
-    The commutator's largest entry is memoised on the pair (a, b).
-    """
+    """Whether the commutator ab - ba vanishes entrywise within ``OPERATOR_TOL``."""
     if a.dim != b.dim:
         raise ValueError("observables act on different spaces")
-
-    def largest_entry() -> float:
-        return float(np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix)))
-
-    return joint_fact((a, b), "commutes", largest_entry) < OPERATOR_TOL
+    return float(np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix))) < OPERATOR_TOL
 
 
 def _label(obs: Observable) -> str:
@@ -76,11 +68,11 @@ class OutcomeAssignment:
     """Joint outcome (observable, eigenvalue) pairs over mutually commuting observables.
 
     Each value is matched to its observable's spectral index once, on
-    construction.  The joint projector is memoised per observable tuple and
-    index tuple (see :func:`hilbert.joint_fact`), never per caller value.
+    construction; the joint projector is built from those indices on first
+    use and kept on the instance.
     """
 
-    __slots__ = ("_pairs", "_dim", "_indices")
+    __slots__ = ("_pairs", "_dim", "_indices", "_projector")
 
     def __init__(self, pairs, *, dim: int | None = None):
         pairs = tuple((obs, float(value)) for obs, value in pairs)
@@ -95,6 +87,7 @@ class OutcomeAssignment:
         _check_commuting([obs for obs, _ in pairs])
         self._pairs = pairs
         self._dim = dim
+        self._projector = None
 
     @property
     def pairs(self) -> tuple:
@@ -109,11 +102,9 @@ class OutcomeAssignment:
 
     def joint_projector(self) -> np.ndarray:
         """Product of the eigenprojectors (order irrelevant by commutation), read-only."""
-        observables = tuple(obs for obs, _ in self._pairs)
-        build = partial(_projector_product, observables, self._indices, self._dim)
-        if not observables:  # no observable to hold the memo; the identity is cheap
-            return build()
-        return joint_fact(observables, ("joint_projector", self._indices), build)
+        if self._projector is None:
+            self._projector = _projector_product([obs for obs, _ in self._pairs], self._indices, self._dim)
+        return self._projector
 
     def extended(self, obs: Observable, value: float) -> "OutcomeAssignment":
         return OutcomeAssignment(self._pairs + ((obs, float(value)),), dim=self._dim)

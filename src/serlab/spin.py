@@ -69,16 +69,17 @@ def embed(op: Observable, particle: int, n_particles: int) -> Observable:
 # a bool or float, which hash like an int but would write "True" or "1.0"
 # into the label, raises TypeError.  Arguments that make a build raise are
 # never stored, so they raise on every call.  setdefault hands threads that
-# race on a first call the same instance.
-_SHARED: dict[tuple, Observable] = {}
+# race on a first call the same instance.  inference keeps each scenario's
+# state-free part here too, so emptying this one dict rebuilds both.
+_SHARED: dict[tuple, object] = {}
 
 
-def _shared(build, *args) -> Observable:
+def _shared(build, *args):
     key = (build, *args)
-    op = _SHARED.get(key)
-    if op is None:
-        op = _SHARED.setdefault(key, build(*args))
-    return op
+    value = _SHARED.get(key)
+    if value is None:
+        value = _SHARED.setdefault(key, build(*args))
+    return value
 
 
 def _embedded_pauli(axis: Axis, particle: int, n_particles: int) -> Observable:

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -318,7 +319,7 @@ def test_a_at_or_below_zero_probability_tolerance_exits_2(command, capsys):
 
 
 def test_second_verify_builds_no_projector_and_no_parser(monkeypatch, capsys):
-    monkeypatch.setattr(spin_module, "_SHARED", {})  # fresh named operators, so the first call fills the memo
+    monkeypatch.setattr(spin_module, "_SHARED", {})  # fresh named operators and scenario parts
     cli.build_parser.cache_clear()
     projector_builds = 0
     build = measurement._projector_product
@@ -335,3 +336,31 @@ def test_second_verify_builds_no_projector_and_no_parser(monkeypatch, capsys):
     assert first > 0 and cli.build_parser.cache_info().misses == 1
     assert main(argv) == 0
     assert projector_builds == first and cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--scenario", "all"], ["sample", "--scenario", "all", "--trials", "1000"]],
+    ids=["verify", "sample"],
+)
+def test_warm_runs_build_no_assignment_and_no_projector(argv, monkeypatch, capsys):
+    monkeypatch.setattr(spin_module, "_SHARED", {})
+    builds = Counter()
+    init, product = measurement.OutcomeAssignment.__init__, measurement._projector_product
+
+    def counting_init(self, *args, **kwargs):
+        builds["assignment"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_product(*args):
+        builds["projector"] += 1
+        return product(*args)
+
+    monkeypatch.setattr(measurement.OutcomeAssignment, "__init__", counting_init)
+    monkeypatch.setattr(measurement, "_projector_product", counting_product)
+    assert main([*argv, "--format", "json"]) == 0  # the warm-up: one run of every scenario
+    assert builds["assignment"] > 0 and builds["projector"] > 0
+    builds.clear()
+    for fmt in ("json", "text"):
+        assert main([*argv, "--format", fmt]) == 0
+    assert builds == Counter()

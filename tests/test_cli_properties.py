@@ -1,7 +1,7 @@
 """Property tests of the CLI contract (hypothesis), all run in one process.
 
-The named operators are shared and their state-independent facts memoised,
-so a passing call, a flipped call and a passing call again, in one
+The named operators and each scenario's state-free part are built once per
+process, so a passing call, a flipped call and a passing call again, in one
 interpreter, also show that nothing carries over from one call to the next.
 """
 

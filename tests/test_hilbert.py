@@ -15,7 +15,9 @@ from serlab.hilbert import (
     has_common_eigenstate,
     tensor,
 )
-from serlab.spin import Axis, embed, hardy_projector, mermin_A, pauli, spin
+from serlab.inference import SCENARIO_TABLE, run_scenario
+from serlab.spin import Axis, embed, hardy_projector, mermin_A, mermin_B, pauli, spin
+from serlab.states import PsiParams
 
 from oracles import random_hermitian, random_unitary
 
@@ -265,6 +267,31 @@ def test_commuting_set_joint_eigenbasis_completeness():
             assert has_common_eigenstate(ops)
 
 
+def _summed_joint_dims(ops) -> int:
+    """``common_eigenstate_dim`` of ``ops`` summed over every combination of their spectra."""
+    return sum(common_eigenstate_dim(ops, combo) for combo in itertools.product(*(op.eigenvalues() for op in ops)))
+
+
+def _paper_commuting_sets():
+    """Every measured triple, B_1..B_3, and each claim's conditioning observable with its target."""
+    sets = [[make() for make in spec.measured] for spec in SCENARIO_TABLE.values()]
+    sets.append([mermin_B(j) for j in (1, 2, 3)])
+    for name, spec in SCENARIO_TABLE.items():
+        report = run_scenario(name, PsiParams(0.5, 0.5) if spec.needs_params else None)
+        for claim, _ in report.certified_claims:
+            sets.append([obs for obs, _ in claim.conditioning.pairs] + [claim.observable])
+    return sets
+
+
+def test_paper_commuting_sets_have_complete_joint_eigenbases():
+    sets = _paper_commuting_sets()
+    assert len(sets) == 4 + 1 + 2 * 3 + 2 * 24
+    for ops in sets:
+        assert _summed_joint_dims(ops) == 8, [op.label for op in ops]
+    # a non-commuting pair shares no eigenstate at any combination of values
+    assert _summed_joint_dims([spin(Axis.X, 1, 3), spin(Axis.Z, 1, 3)]) == 0
+
+
 # --- locality of operators ---------------------------------------------------------
 
 
@@ -295,7 +322,7 @@ def test_acts_only_on_identity_anywhere():
     assert acts_only_on(ident, {2}, 3)
 
 
-# --- memoised facts -------------------------------------------------------------
+# --- named operators against fresh copies ------------------------------------------
 
 
 REGIONS = [region for k in (1, 2, 3) for region in itertools.combinations((1, 2, 3), k)]

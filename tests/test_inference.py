@@ -5,6 +5,8 @@ import gc
 import importlib
 import io
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -24,7 +26,7 @@ from serlab.inference import (
     run_scenario,
     sample_scenario,
 )
-from serlab.hilbert import _PARTNERS, Observable, StateVector
+from serlab.hilbert import Observable, StateVector
 from serlab.measurement import OutcomeAssignment, collapse
 from serlab.spin import Axis, embed, hardy_projector, mermin_A, pauli, spin
 from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state
@@ -377,18 +379,14 @@ def test_nonlocal_second_pair_fails_after_honest_claims():
         assert (cert.ok, cert.failed_clause) == (False, "conditioning-not-local")
 
 
-def _claim_tables(facts) -> int:
-    """The scenario entries of an ``Observable._facts`` memo, its partner maps included."""
-    count = sum(1 for key in facts if isinstance(key, tuple) and key[0] == "scenario")
-    return count + sum(_claim_tables(f) for f in facts.get(_PARTNERS, {}).values())
+def _parts() -> int:
+    """The scenario parts held in the shared memo."""
+    return sum(isinstance(value, inference._FixedPart) for value in spin_module._SHARED.values())
 
 
 def test_flip_runs_keep_memory_bounded():
     # a flipped claim is the only claim a run builds; none may outlive its report
     n_claims = {name: len(run_scenario(name, _params(name)).certified_claims) for name in SCENARIOS}
-
-    def tables():
-        return sum(_claim_tables(op._facts) for op in spin_module._SHARED.values())
 
     def flips(n):
         for k in range(n):
@@ -396,7 +394,7 @@ def test_flip_runs_keep_memory_bounded():
             assert not run_scenario(name, _params(name), flip_claim=(k // len(SCENARIOS)) % n_claims[name]).passed()
 
     flips(200)  # every flip index once
-    assert tables() == len(SCENARIOS)
+    assert _parts() == len(SCENARIOS)
     gc.collect()
     tracemalloc.start()
     try:
@@ -406,8 +404,38 @@ def test_flip_runs_keep_memory_bounded():
         growth = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert tables() == len(SCENARIOS)
+    assert _parts() == len(SCENARIOS)
     assert growth < 64 * 1024  # a claim kept per flip would take about 2000 kB
+
+
+def test_threads_racing_on_first_runs_share_one_part(monkeypatch):
+    monkeypatch.setattr(spin_module, "_SHARED", {})
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def work(k):
+        barrier.wait(timeout=10)
+        reports = [run_scenario(name, _params(name)) for name in SCENARIOS]
+        results[k] = [([claim for claim, _ in r.certified_claims], r.checks) for r in reports]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert _parts() == len(SCENARIOS)
+    for other in results[1:]:
+        for (claims, checks), (first_claims, first_checks) in zip(other, results[0]):
+            assert all(a is b for a, b in zip(claims, first_claims))
+            assert checks == first_checks
+    assert all(check.passed for _, checks in results[0] for check in checks)
 
 
 # --- metamorphic: local unitaries --------------------------------------------------------
@@ -516,9 +544,14 @@ def test_hardy_null_outcome_scan_small():
         ({"seed": 1.5}, TypeError),
         ({"n_states": 0}, ValueError),
         ({"n_states": -1}, ValueError),
+        ({"seed": -1}, ValueError),
     ],
-    ids=["n_states-bool", "n_states-float", "seed-bool", "seed-float", "n_states-zero", "n_states-negative"],
+    ids=[
+        "n_states-bool", "n_states-float", "seed-bool", "seed-float", "n_states-zero", "n_states-negative",
+        "seed-negative",
+    ],
 )
 def test_hardy_null_outcome_scan_applies_the_integer_rule(kwargs, error):
-    with pytest.raises(error):
+    match = next(iter(kwargs)) if error is ValueError else None  # serlab's own message names the argument
+    with pytest.raises(error, match=match):
         hardy_null_outcome_scan(**{"trials": 10} | kwargs)

@@ -11,8 +11,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from serlab import measurement
 from serlab.hilbert import (
-    _PARTNERS,
     Observable,
     StateVector,
     acts_only_on,
@@ -231,36 +231,40 @@ def test_caller_observable_is_freed_after_memoised_facts():
     assert freed() is None
 
 
-def _joint_projector_entries(facts) -> int:
-    """The ``"joint_projector"`` entries of an ``Observable._facts`` memo, its partner maps included."""
-    count = sum(1 for key in facts if isinstance(key, tuple) and key[0] == "joint_projector")
-    return count + sum(_joint_projector_entries(f) for f in facts.get(_PARTNERS, {}).values())
+def test_joint_projector_memo_is_bounded_over_drawn_states(monkeypatch):
+    builds = 0
+    build = measurement._projector_product
 
+    def counting(*args):
+        nonlocal builds
+        builds += 1
+        return build(*args)
 
-def test_joint_projector_memo_is_bounded_over_drawn_states():
-    def entries():
-        return sum(_joint_projector_entries(op._facts) for op in spin_module._SHARED.values())
-
+    monkeypatch.setattr(spin_module, "_SHARED", {})  # fresh scenario parts, so the warm-up builds their projectors
+    monkeypatch.setattr(measurement, "_projector_product", counting)
     for name in SCENARIOS:  # warm-up: every scenario once
         run_scenario(name, DEFAULT if SCENARIO_TABLE[name].needs_params else None)
-    after_first = entries()
-    assert after_first > 0
+    assert builds > 0
+    builds = 0
     rng = np.random.default_rng(6)
     psi_family = [name for name in SCENARIOS if SCENARIO_TABLE[name].needs_params]
     for k in range(10_000):
         run_scenario(psi_family[k % len(psi_family)], random_psi_params(rng))
-    assert entries() == after_first
+    assert builds == 0
 
 
 def test_joint_projector_is_shared_per_spectral_index():
     sz1, sz2 = spin(Axis.Z, 1, 3), spin(Axis.Z, 2, 3)
-    proj = OutcomeAssignment([(sz1, 1.0), (sz2, -1.0)]).joint_projector()
-    assert OutcomeAssignment([(sz1, 1.0 + 1e-9), (sz2, -1.0)]).joint_projector() is proj
-    assert OutcomeAssignment([(sz1, 1.0)]).extended(sz2, -1.0).joint_projector() is proj
+    assignment = OutcomeAssignment([(sz1, 1.0), (sz2, -1.0)])
+    proj = assignment.joint_projector()
+    assert assignment.joint_projector() is proj
     assert not proj.flags.writeable
     spec1, spec2 = sz1.spectral(), sz2.spectral()
     expected = spec1.projectors[spec1.index_of(1.0)] @ spec2.projectors[spec2.index_of(-1.0)]
     assert np.array_equal(proj, np.eye(8) @ expected)
+    # the projector depends on the spectral indices only, not on the caller's floats or on how the pairs were built
+    assert np.array_equal(OutcomeAssignment([(sz1, 1.0 + 1e-9), (sz2, -1.0)]).joint_projector(), proj)
+    assert np.array_equal(OutcomeAssignment([(sz1, 1.0)]).extended(sz2, -1.0).joint_projector(), proj)
 
 
 # --- collapse -------------------------------------------------------------------
