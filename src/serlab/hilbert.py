@@ -195,6 +195,11 @@ class Observable:
         return self._label
 
     @property
+    def name(self) -> str:
+        """How reports and errors name this observable: its label, or ``O[<dim>x<dim>]`` without one."""
+        return self._label or f"O[{self.dim}x{self.dim}]"
+
+    @property
     def dim(self) -> int:
         return self._matrix.shape[0]
 
@@ -206,6 +211,14 @@ class Observable:
         if self._spectral is None:
             self._spectral = _spectral_decomposition(self._matrix)
         return self._spectral
+
+    def projector(self, value: float) -> np.ndarray:
+        """The read-only eigenprojector of ``value``; ``ValueError`` for a value (NaN included) off the spectrum."""
+        spectral = self.spectral()
+        try:
+            return spectral.projectors[spectral.index_of(value)]
+        except ValueError:
+            raise ValueError(f"{value} is not in the spectrum of {self.name}") from None
 
     def eigenvalues(self) -> tuple[float, ...]:
         """Distinct eigenvalues, ascending."""

@@ -53,8 +53,6 @@ from .measurement import (
     NEGLIGIBLE_PROBABILITY,
     RNG_ALGORITHM,
     OutcomeAssignment,
-    _label,
-    _spectral_index,
     commutes,
     outcome_probability,
     sample_counts,
@@ -86,9 +84,10 @@ __all__ = [
 class SerClaim:
     """A predicted-with-certainty value for an observable on an undisturbed group.
 
-    What never depends on a state (the verdict of the first three clauses and
-    the two projectors) is computed on first use and kept on the instance, so
-    it is freed with the claim; ``dataclasses.replace`` starts a new memo.
+    The target's eigenprojector is looked up when the claim is built, which
+    rejects an off-spectrum value; the verdict of the three clauses that never
+    read a state is computed on first use.  Both are kept on the instance, so
+    they are freed with the claim; ``dataclasses.replace`` starts anew.
     """
 
     observable: Observable
@@ -108,10 +107,10 @@ class SerClaim:
         if self.conditioning.dim != self.observable.dim:
             raise ValueError("conditioning and observable live in different spaces")
         object.__setattr__(self, "predicted_value", float(self.predicted_value))
-        _spectral_index(self.observable, self.predicted_value)
+        object.__setattr__(self, "_target_projector", self.observable.projector(self.predicted_value))
 
     def describe(self) -> str:
-        return f"{_label(self.observable)}={self.predicted_value:+g} given {self.conditioning.describe()}"
+        return f"{self.observable.name}={self.predicted_value:+g} given {self.conditioning.describe()}"
 
     @cached_property
     def _structural_failure(self) -> Certification | None:
@@ -131,21 +130,11 @@ class SerClaim:
                 return Certification(
                     False,
                     "conditioning-not-local",
-                    f"{_label(obs)} acts outside the inferring region {sorted(self.inferring_region)}",
+                    f"{obs.name} acts outside the inferring region {sorted(self.inferring_region)}",
                 )
         if not all(commutes(obs, self.observable) for obs, _ in self.conditioning.pairs):
             return Certification(False, "incompatible-target", "target does not commute with the conditioning set")
         return None
-
-    @cached_property
-    def _conditioning_projector(self) -> np.ndarray:
-        """The joint projector of the conditioning outcome."""
-        return self.conditioning.joint_projector()
-
-    @cached_property
-    def _target_projector(self) -> np.ndarray:
-        """The eigenprojector of the predicted value."""
-        return _eigenprojector(self.observable, self.predicted_value)
 
 
 @dataclass(frozen=True)
@@ -158,10 +147,6 @@ class Certification:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _eigenprojector(obs: Observable, value: float) -> np.ndarray:
-    return obs.spectral().projectors[_spectral_index(obs, value)]
 
 
 def _miss_probability(phi: np.ndarray, projector: np.ndarray) -> float:
@@ -183,7 +168,7 @@ def certify_ser(state: StateVector, claim: SerClaim) -> Certification:
     failure = claim._structural_failure
     if failure is not None:
         return failure
-    phi = claim._conditioning_projector @ state.amplitudes
+    phi = claim.conditioning.joint_projector() @ state.amplitudes
     if np.vdot(phi, phi).real <= SCALAR_TOL:
         return Certification(False, "condition-unpreparable", "conditioning outcome has probability ~0")
     miss = _miss_probability(phi, claim._target_projector)
@@ -334,11 +319,10 @@ def _zero_operator(name: str) -> list[Check]:
 
 def _x_product_certainty(name: str) -> Callable[[StateVector], list[Check]]:
     minus = OutcomeAssignment([(spin_product(Axis.X, 3), -1.0)])
-    projector = _eigenprojector(*minus.pairs[0])
 
     def checks(state: StateVector) -> list[Check]:
         p_minus = outcome_probability(state, minus)
-        certain = _miss_probability(state.amplitudes, projector) <= CERTAINTY_TOL
+        certain = _miss_probability(state.amplitudes, minus.joint_projector()) <= CERTAINTY_TOL
         return [
             Check(
                 "P(sigma_x(1) sigma_x(2) sigma_x(3) = -1) = 1, so the inferred product "
@@ -427,7 +411,9 @@ def _flip(claims: list[SerClaim], which: int) -> None:
     if not 0 <= which < len(claims):
         raise ValueError(f"flip index {which} out of range; scenario emits {len(claims)} claims")
     claim = claims[which]
-    others = [v for v in claim.observable.eigenvalues() if abs(v - claim.predicted_value) > SCALAR_TOL]
+    spectral = claim.observable.spectral()
+    k = spectral.index_of(claim.predicted_value)
+    others = spectral.eigenvalues[:k] + spectral.eigenvalues[k + 1 :]
     if not others:
         raise ValueError("observable has a single eigenvalue; nothing to flip to")
     claims[which] = replace(claim, predicted_value=others[0])
@@ -612,7 +598,7 @@ def sample_scenario(
         trials=trials,
         seed=seed,
         algorithm=RNG_ALGORITHM,
-        observable_labels=tuple(map(_label, observables)),
+        observable_labels=tuple(o.name for o in observables),
         entries=entries,
         unobserved_admissible=unobserved,
     )

@@ -60,19 +60,15 @@ def commutes(a: Observable, b: Observable) -> bool:
     return float(np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix))) < OPERATOR_TOL
 
 
-def _label(obs: Observable) -> str:
-    return obs.label or f"O[{obs.dim}x{obs.dim}]"
-
-
 class OutcomeAssignment:
     """Joint outcome (observable, eigenvalue) pairs over mutually commuting observables.
 
-    Each value is matched to its observable's spectral index once, on
-    construction; the joint projector is built from those indices on first
-    use and kept on the instance.
+    Each value is matched to its observable's eigenprojector once, on
+    construction; the joint projector is built from those on first use and
+    kept on the instance.
     """
 
-    __slots__ = ("_pairs", "_dim", "_indices", "_projector")
+    __slots__ = ("_pairs", "_dim", "_projectors", "_projector")
 
     def __init__(self, pairs, *, dim: int | None = None):
         pairs = tuple((obs, float(value)) for obs, value in pairs)
@@ -83,8 +79,8 @@ class OutcomeAssignment:
             dim = first.dim
         elif dim is None:
             raise ValueError("an empty assignment needs an explicit dim")
-        self._indices = tuple(_spectral_index(obs, value) for obs, value in pairs)
-        _check_commuting([obs for obs, _ in pairs])
+        self._projectors = tuple(obs.projector(value) for obs, value in pairs)
+        _check_commuting(itertools.combinations([obs for obs, _ in pairs], 2))
         self._pairs = pairs
         self._dim = dim
         self._projector = None
@@ -97,22 +93,16 @@ class OutcomeAssignment:
     def dim(self) -> int:
         return self._dim
 
-    def __len__(self) -> int:
-        return len(self._pairs)
-
     def joint_projector(self) -> np.ndarray:
         """Product of the eigenprojectors (order irrelevant by commutation), read-only."""
         if self._projector is None:
-            self._projector = _projector_product([obs for obs, _ in self._pairs], self._indices, self._dim)
+            self._projector = _projector_product(self._projectors, self._dim)
         return self._projector
-
-    def extended(self, obs: Observable, value: float) -> "OutcomeAssignment":
-        return OutcomeAssignment(self._pairs + ((obs, float(value)),), dim=self._dim)
 
     def describe(self) -> str:
         if not self._pairs:
             return "(no conditioning)"
-        return ", ".join(f"{_label(obs)}={value:+g}" for obs, value in self._pairs)
+        return ", ".join(f"{obs.name}={value:+g}" for obs, value in self._pairs)
 
     def __repr__(self) -> str:
         return f"OutcomeAssignment({self.describe()})"
@@ -122,8 +112,12 @@ def outcome_probability(state: StateVector, assignment: OutcomeAssignment) -> fl
     """Born probability of a joint outcome: <state| P_1 P_2 ... |state>, clamped to [0, 1]."""
     if assignment.dim != state.dim:
         raise ValueError("state and assignment live in different spaces")
-    projected = assignment.joint_projector() @ state.amplitudes
-    p = float(np.real(np.vdot(state.amplitudes, projected)))
+    return _born(state, assignment.joint_projector())
+
+
+def _born(state: StateVector, projector: np.ndarray) -> float:
+    """<state| projector |state>, clamped to [0, 1]."""
+    p = float(np.real(np.vdot(state.amplitudes, projector @ state.amplitudes)))
     return min(max(p, 0.0), 1.0)
 
 
@@ -134,13 +128,17 @@ def conditional_probability(state: StateVector, target, given: OutcomeAssignment
     observable; by commutation this equals the sequential (measure-given,
     then measure-target) probability.
     """
-    joint = given.extended(*target)
+    obs, value = target
+    if obs.dim != given.dim:
+        raise ValueError("conditioning and target live in different spaces")
+    projector = obs.projector(float(value))
+    _check_commuting((conditioning, obs) for conditioning, _ in given.pairs)
     p_given = outcome_probability(state, given)
     if p_given <= SCALAR_TOL:
         raise ZeroProbabilityError(
             f"conditional on {given.describe()} undefined: outcome probability {p_given}"
         )
-    p_joint = outcome_probability(state, joint)
+    p_joint = _born(state, given.joint_projector() @ projector)
     return min(p_joint / p_given, 1.0)
 
 
@@ -148,12 +146,11 @@ def collapse(state: StateVector, observable: Observable, value: float) -> StateV
     """Post-measurement state: eigenprojector applied and renormalized."""
     if observable.dim != state.dim:
         raise ValueError("state and observable live in different spaces")
-    proj = observable.spectral().projectors[_spectral_index(observable, value)]
-    amps = proj @ state.amplitudes
+    amps = observable.projector(value) @ state.amplitudes
     weight = float(np.real(np.vdot(amps, amps)))
     if weight <= SCALAR_TOL:
         raise ZeroProbabilityError(
-            f"cannot collapse onto {_label(observable)}={value:+g}: outcome probability {weight}"
+            f"cannot collapse onto {observable.name}={value:+g}: outcome probability {weight}"
         )
     return StateVector(amps / np.sqrt(weight))
 
@@ -167,28 +164,20 @@ class MeasurementRecord:
     post_state: StateVector
 
 
-def _spectral_index(obs: Observable, value: float) -> int:
-    """Index of ``value`` in the spectrum of ``obs``."""
-    try:
-        return obs.spectral().index_of(value)
-    except ValueError:
-        raise ValueError(f"{value} is not in the spectrum of {_label(obs)}") from None
-
-
-def _projector_product(observables, indices, dim: int) -> np.ndarray:
-    """Read-only ``1 @ P_1 @ P_2 ...``, with ``P_i`` the eigenprojector ``indices[i]`` of ``observables[i]``."""
+def _projector_product(projectors, dim: int) -> np.ndarray:
+    """Read-only ``1 @ P_1 @ P_2 ...`` over ``projectors`` in order."""
     proj = np.eye(dim, dtype=complex)
-    for obs, k in zip(observables, indices):
-        proj = proj @ obs.spectral().projectors[k]
+    for p in projectors:
+        proj = proj @ p
     proj.setflags(write=False)
     return proj
 
 
-def _check_commuting(obs: list[Observable]) -> None:
-    """Raise IncompatibleObservablesError on the first pair that does not commute."""
-    for a, b in itertools.combinations(obs, 2):
+def _check_commuting(pairs) -> None:
+    """Raise IncompatibleObservablesError on the first pair of observables that does not commute."""
+    for a, b in pairs:
         if not commutes(a, b):
-            raise IncompatibleObservablesError(f"{_label(a)} and {_label(b)} do not commute")
+            raise IncompatibleObservablesError(f"{a.name} and {b.name} do not commute")
 
 
 class _BranchTree:
@@ -252,7 +241,7 @@ def _sample_leaves(state, observables, seed, trials):
     obs = list(observables)
     if not obs:
         raise ValueError("need at least one observable")
-    _check_commuting(obs)  # commutes() rejects a pair on different spaces
+    _check_commuting(itertools.combinations(obs, 2))  # commutes() rejects a pair on different spaces
     if obs[0].dim != state.dim:
         raise ValueError("state and observables live in different spaces")
     seed, trials = _index(seed), _index(trials)
@@ -280,7 +269,7 @@ def sample_joint(state: StateVector, observables, seed: int, trials: int) -> lis
     """
     obs, tree, chunk, starts = _sample_leaves(state, observables, seed, trials)
     leaf_ids = np.concatenate([chunk(start) for start in starts]).tolist()
-    labels = [_label(o) for o in obs]
+    labels = [o.name for o in obs]
     leaves = {}
     for leaf in set(leaf_ids):
         prefix, amps = tree.leaves[leaf]

@@ -145,6 +145,16 @@ def test_spectral_index_of_rejects_nan():
         spec.index_of(float("nan"))
 
 
+def test_projector_is_the_spectral_eigenprojector_and_name_defaults_to_the_shape():
+    sz1 = spin(Axis.Z, 1, 3)
+    spec = sz1.spectral()
+    assert sz1.projector(1.0 + 1e-9) is spec.projectors[spec.index_of(1.0)]
+    assert not sz1.projector(-1.0).flags.writeable
+    assert sz1.name == "sigma_z(1)" and Observable(sz1.matrix).name == "O[8x8]"
+    with pytest.raises(ValueError, match=r"^nan is not in the spectrum of sigma_z\(1\)$"):
+        sz1.projector(float("nan"))
+
+
 def test_spectral_hardy_projector_ranks():
     spec = hardy_projector().spectral()
     assert np.allclose(spec.eigenvalues, (0.0, 1.0))

@@ -27,7 +27,7 @@ from serlab.inference import (
     sample_scenario,
 )
 from serlab.hilbert import Observable, StateVector
-from serlab.measurement import OutcomeAssignment, collapse
+from serlab.measurement import OutcomeAssignment, collapse, conditional_probability
 from serlab.spin import Axis, embed, hardy_projector, mermin_A, pauli, spin
 from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state
 
@@ -114,6 +114,10 @@ OFF_SPECTRUM_CALLS = {
     "SerClaim": lambda obs: SerClaim(obs, 0.5, OutcomeAssignment((), dim=8), {2}, {1}),
     "OutcomeAssignment": lambda obs: OutcomeAssignment([(obs, 0.5)]),
     "collapse": lambda obs: collapse(psi_state(DEFAULT), obs, 0.5),
+    "Observable.projector": lambda obs: obs.projector(0.5),
+    "conditional_probability": lambda obs: conditional_probability(
+        psi_state(DEFAULT), (obs, 0.5), OutcomeAssignment((), dim=8)
+    ),
 }
 
 

@@ -78,7 +78,7 @@ def test_outcome_assignment_rejects_off_spectrum_value():
     with pytest.raises(ValueError, match="spectrum"):
         OutcomeAssignment([(spin(Axis.Z, 1, 3), float("nan"))])
     with pytest.raises(ValueError, match="spectrum"):
-        OutcomeAssignment([(spin(Axis.Z, 1, 3), -1.0)]).extended(spin(Axis.Z, 2, 3), float("nan"))
+        OutcomeAssignment([(spin(Axis.Z, 1, 3), -1.0), (spin(Axis.Z, 2, 3), float("nan"))])
 
 
 def test_conditional_certainty():
@@ -125,6 +125,30 @@ def test_conditional_rejects_noncommuting_target():
         )
 
 
+def test_conditional_reuses_the_given_projector_and_matches_the_joint_assignment_exactly(monkeypatch):
+    rng = np.random.default_rng(41)
+    sz1, sz2, sx3 = spin(Axis.Z, 1, 3), spin(Axis.Z, 2, 3), spin(Axis.X, 3, 3)
+    given = OutcomeAssignment([(sz1, +1.0), (sz2, -1.0)])
+    states = [StateVector(random_state(rng, 8)) for _ in range(100)]
+    conditional_probability(states[0], (sx3, 1.0), given)  # warm-up: builds the given projector
+    built = []
+    product = measurement._projector_product
+    monkeypatch.setattr(measurement, "_projector_product", lambda *args: built.append(args) or product(*args))
+    got = [conditional_probability(state, (sx3, 1.0), given) for state in states]
+    assert built == []
+    monkeypatch.undo()
+    joint = OutcomeAssignment([(sz1, +1.0), (sz2, -1.0), (sx3, 1.0)])
+    expected = [min(outcome_probability(s, joint) / outcome_probability(s, given), 1.0) for s in states]
+    assert got == expected  # bit for bit: the same left-to-right projector product
+
+
+def test_conditional_rejects_target_of_another_space():
+    state = psi_state(DEFAULT)
+    for given in (OutcomeAssignment((), dim=8), OutcomeAssignment([(spin(Axis.Z, 1, 3), +1.0)])):
+        with pytest.raises(ValueError, match="conditioning and target live in different spaces"):
+            conditional_probability(state, (spin(Axis.Z, 1, 2), +1.0), given)
+
+
 def test_chain_rule():
     rng = np.random.default_rng(17)
     sz1, sz2 = spin(Axis.Z, 1, 3), spin(Axis.Z, 2, 3)
@@ -134,7 +158,7 @@ def test_chain_rule():
         p_given = outcome_probability(state, given)
         if p_given <= 1e-12:
             continue
-        joint = outcome_probability(state, given.extended(sz2, -1.0))
+        joint = outcome_probability(state, OutcomeAssignment([(sz1, +1.0), (sz2, -1.0)]))
         cond = conditional_probability(state, (sz2, -1.0), given)
         assert joint == pytest.approx(p_given * cond, abs=1e-12)
 
@@ -264,7 +288,7 @@ def test_joint_projector_is_shared_per_spectral_index():
     assert np.array_equal(proj, np.eye(8) @ expected)
     # the projector depends on the spectral indices only, not on the caller's floats or on how the pairs were built
     assert np.array_equal(OutcomeAssignment([(sz1, 1.0 + 1e-9), (sz2, -1.0)]).joint_projector(), proj)
-    assert np.array_equal(OutcomeAssignment([(sz1, 1.0)]).extended(sz2, -1.0).joint_projector(), proj)
+    assert np.array_equal(OutcomeAssignment(((sz1, 1), (sz2, -1))).joint_projector(), proj)
 
 
 # --- collapse -------------------------------------------------------------------

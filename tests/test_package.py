@@ -1,9 +1,11 @@
 """Tests for the package namespace: what ``import serlab`` exports and loads."""
 
-import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import serlab
 
@@ -26,3 +28,20 @@ def test_import_loads_the_library_modules_and_not_the_cli():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == sorted(f"serlab.{name}" for name in LIBRARY_MODULES)
+
+
+def test_every_name_the_tracer_wraps_by_name_is_a_function():
+    # the tracer skips a missing name silently, so a renamed function would read as a 0 per-layer metric
+    path = Path(__file__).resolve().parents[1] / "serbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("serbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for short, names in tracer.EXTRA.items():
+        module = importlib.import_module(f"serlab.{short}")
+        for name in names:
+            assert inspect.isfunction(getattr(module, name, None)), f"{short}.{name}"
+    for short, classes in tracer.METHODS.items():
+        module = importlib.import_module(f"serlab.{short}")
+        for cls_name, methods in classes.items():
+            for name in methods:
+                assert inspect.isfunction(vars(getattr(module, cls_name)).get(name)), f"{short}.{cls_name}.{name}"
