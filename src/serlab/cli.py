@@ -1,7 +1,8 @@
 """Command-line front end: analytic verification (`verify`) and Monte Carlo sampling (`sample`).
 
 Exit codes: 0 when every check passes, 1 when a check fails (the first failing
-check is named on stderr), 2 for usage or parameter errors.
+check is named on stderr), 2 for usage or parameter errors, 141 when stdout is
+closed before the report is written.
 
 JSON reports are byte-identical for identical configuration (including seed):
 numbers are serialized with 17 significant digits and field order is fixed.
@@ -13,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -310,7 +312,16 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run_command(args.command, config)
+    try:
+        code = run_command(args.command, config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at the null device so the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -4,9 +4,11 @@ Joint operations are defined only for pairwise commuting observables, so every
 probability here is a genuine joint-measurement probability and never a
 silently order-dependent sequential one.
 
-Sampling is counter-based: a run over ``k`` observables keyed by ``seed`` uses
-a Philox (philox4x64) stream in which trial ``t`` consumes exactly the
-uniforms at offsets ``t*k .. t*k + k - 1``.  Any trial can therefore be
+Sampling draws from the joint Born distribution over outcome tuples, which for
+commuting observables is the sequential Lüders one.  A run keyed by ``seed``
+uses a Philox (philox4x64) stream in which trial ``t`` consumes exactly the
+uniform at offset ``t``, mapped through the cumulative probabilities of the
+nonzero joint outcomes in lexicographic order.  Any trial can therefore be
 regenerated independently of the others, runs are reproducible for a fixed
 (seed, trials, observable order), and extending ``trials`` preserves the
 earlier trials unchanged.
@@ -15,7 +17,6 @@ earlier trials unchanged.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .hilbert import OPERATOR_TOL, SCALAR_TOL, Observable, StateVector, _index
 NEGLIGIBLE_PROBABILITY = 1e-15
 RNG_ALGORITHM = "philox4x64"
 
-# a multiple of 4, so every chunk starts on a Philox counter step (4 uniforms each) for any k
+# a multiple of 4, so every chunk starts on a Philox counter step (4 uniforms each)
 _CHUNK_TRIALS = 1 << 14
 
 __all__ = [
@@ -147,7 +148,7 @@ def collapse(state: StateVector, observable: Observable, value: float) -> StateV
     if observable.dim != state.dim:
         raise ValueError("state and observable live in different spaces")
     amps = observable.projector(value) @ state.amplitudes
-    weight = float(np.real(np.vdot(amps, amps)))
+    weight = _weight(amps)
     if weight <= SCALAR_TOL:
         raise ZeroProbabilityError(
             f"cannot collapse onto {observable.name}={value:+g}: outcome probability {weight}"
@@ -162,6 +163,11 @@ class MeasurementRecord:
     trial: int
     outcomes: tuple[tuple[str, float], ...]
     post_state: StateVector
+
+
+def _weight(amplitudes: np.ndarray) -> float:
+    """Squared norm of an amplitude vector."""
+    return float(np.real(np.vdot(amplitudes, amplitudes)))
 
 
 def _projector_product(projectors, dim: int) -> np.ndarray:
@@ -180,63 +186,40 @@ def _check_commuting(pairs) -> None:
             raise IncompatibleObservablesError(f"{a.name} and {b.name} do not commute")
 
 
-class _BranchTree:
-    """The sequential Lüders measurement tree of a commuting observable list, as tables.
+def _joint_table(state: StateVector, obs: list[Observable]) -> tuple[list, np.ndarray]:
+    """The nonzero joint outcomes of a commuting observable list on ``state``, as one table.
 
-    A node at depth ``d`` is an outcome prefix of length ``d`` that a draw can
-    reach; nodes are numbered in lexicographic order of their prefixes.  For
-    depth ``d``, ``cums[d][j, i]`` is node ``i``'s cumulative conditional
-    probability of branches ``0..j`` (the last branch needs no threshold), and
-    ``nexts[d][i * n_d + c]`` is the node a draw of branch ``c`` leads to,
-    after the stray-branch remap.  ``leaves`` holds each leaf's outcome
-    indices and collapsed amplitudes.
+    ``state`` passes through each observable's eigenprojectors in order; a
+    prefix of probability at or below ``NEGLIGIBLE_PROBABILITY`` is dropped, so
+    at most ``dim`` rows are left, in lexicographic order of their outcome
+    indices.  Returns the rows, each (outcome indices, ``P psi / sqrt(p)``),
+    and the cumulative thresholds: a uniform ``u`` takes the row whose index
+    is the number of thresholds ``<= u``.
     """
-
-    __slots__ = ("cums", "nexts", "leaves")
-
-    def __init__(self, state: StateVector, obs: list[Observable]):
-        nodes = [((), state.amplitudes)]
-        self.cums, self.nexts = [], []
-        for o in obs:
-            projectors = o.spectral().projectors
-            n = len(projectors)
-            cums, nexts, children = [], [], []
-            for prefix, amps in nodes:
-                probs = np.array([max(float(np.real(np.vdot(amps, proj @ amps))), 0.0) for proj in projectors])
-                cums.append(np.cumsum(probs)[:-1])
-                # roundoff can push a uniform past the last nonzero branch
-                remap = [c if probs[c] > NEGLIGIBLE_PROBABILITY else int(np.argmax(probs)) for c in range(n)]
-                live = sorted(set(remap))
-                nexts.extend(len(children) + live.index(c) for c in remap)
-                children.extend((prefix + (c,), (projectors[c] @ amps) / np.sqrt(probs[c])) for c in live)
-            self.cums.append(np.ascontiguousarray(np.array(cums).reshape(len(nodes), n - 1).T))
-            self.nexts.append(np.array(nexts, dtype=np.intp))
-            nodes = children
-        self.leaves = nodes
-
-    def descend(self, uniforms: np.ndarray) -> np.ndarray:
-        """Leaf index of each row of ``uniforms`` (one column per depth)."""
-        node = np.zeros(len(uniforms), dtype=np.intp)
-        for d, (cum, nxt) in enumerate(zip(self.cums, self.nexts)):
-            u = uniforms[:, d]
-            branch = node * (len(cum) + 1)
-            for col in cum:
-                branch += col.take(node) <= u
-            node = nxt.take(branch)
-        return node
+    rows = [((), state.amplitudes)]
+    for o in obs:
+        projectors = o.spectral().projectors
+        rows = [(prefix + (c,), proj @ amps) for prefix, amps in rows for c, proj in enumerate(projectors)]
+        rows = [row for row in rows if _weight(row[1]) > NEGLIGIBLE_PROBABILITY]
+    probs = np.array([_weight(amps) for _, amps in rows])
+    cum = np.cumsum(probs)
+    return [(prefix, amps / np.sqrt(p)) for (prefix, amps), p in zip(rows, probs)], cum[:-1] / cum[-1]
 
 
-def _sample_leaves(state, observables, seed, trials):
-    """Validated observables, their branch tree, a chunk function and the chunk starts.
+def _row_index(thresholds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Table row of each uniform: the number of thresholds at or below it."""
+    index = np.zeros(len(uniforms), dtype=np.intp)
+    for c in thresholds:
+        index += c <= uniforms
+    return index
 
-    Sequential Born-rule draws with Lüders collapse in the given order.
-    ``chunk(start)`` is the leaf index of trials ``start`` up to
-    ``start + _CHUNK_TRIALS`` (cut at ``trials``), for each ``start`` in the
-    returned range.  It draws its ``k`` uniforms per trial from a new Philox
-    generator on the run's key, its counter set to ``start*k // 4`` (4
-    uniforms per step), so trial ``t`` still uses offsets
-    ``t*k .. t*k + k - 1``, chunks can be drawn in any order or on any thread,
-    and memory stays flat in ``trials``.
+
+def _sample_table(state, observables, seed, trials):
+    """Validated observables, their joint-outcome table and the run's uniforms, chunk by chunk.
+
+    Trial ``t`` takes the uniform at offset ``t`` of a Philox stream on the
+    run's key.  Chunk ``start`` opens a new generator with its counter at
+    ``start // 4`` (4 uniforms per step), so memory stays flat in ``trials``.
     """
     obs = list(observables)
     if not obs:
@@ -247,14 +230,15 @@ def _sample_leaves(state, observables, seed, trials):
     seed, trials = _index(seed), _index(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
-    tree = _BranchTree(state, obs)
-    k = len(obs)
+    rows, thresholds = _joint_table(state, obs)
+    key = seed & 0xFFFFFFFFFFFFFFFF
 
-    def chunk(start: int) -> np.ndarray:
-        bits = np.random.Philox(counter=start * k // 4, key=seed & 0xFFFFFFFFFFFFFFFF)
-        return tree.descend(np.random.Generator(bits).random((min(_CHUNK_TRIALS, trials - start), k)))
+    def uniforms():
+        for start in range(0, trials, _CHUNK_TRIALS):
+            bits = np.random.Philox(counter=start // 4, key=key)
+            yield np.random.Generator(bits).random(min(_CHUNK_TRIALS, trials - start))
 
-    return obs, tree, chunk, range(0, trials, _CHUNK_TRIALS)
+    return obs, rows, thresholds, uniforms()
 
 
 def _outcomes(obs, prefix) -> tuple[float, ...]:
@@ -267,54 +251,27 @@ def sample_joint(state: StateVector, observables, seed: int, trials: int) -> lis
     Fully reproducible for a fixed (seed, trials, order); the records for the
     first N trials do not depend on the total trial count.
     """
-    obs, tree, chunk, starts = _sample_leaves(state, observables, seed, trials)
-    leaf_ids = np.concatenate([chunk(start) for start in starts]).tolist()
+    obs, rows, thresholds, uniforms = _sample_table(state, observables, seed, trials)
+    row_ids = np.concatenate([_row_index(thresholds, u) for u in uniforms]).tolist()
     labels = [o.name for o in obs]
-    leaves = {}
-    for leaf in set(leaf_ids):
-        prefix, amps = tree.leaves[leaf]
-        leaves[leaf] = (tuple(zip(labels, _outcomes(obs, prefix))), StateVector(amps))
+    drawn = {}
+    for row in set(row_ids):
+        prefix, amps = rows[row]
+        drawn[row] = (tuple(zip(labels, _outcomes(obs, prefix))), StateVector(amps))
     return [
-        MeasurementRecord(trial=t, outcomes=leaves[leaf][0], post_state=leaves[leaf][1])
-        for t, leaf in enumerate(leaf_ids)
+        MeasurementRecord(trial=t, outcomes=drawn[row][0], post_state=drawn[row][1]) for t, row in enumerate(row_ids)
     ]
 
 
 def sample_counts(state: StateVector, observables, seed: int, trials: int) -> dict[tuple[float, ...], int]:
     """Aggregated joint-outcome counts; same stream and draws as :func:`sample_joint`.
 
-    With more than one chunk, the caller counts the even-numbered chunks and
-    one helper thread the odd-numbered ones (numpy releases the GIL while it
-    draws and descends); the counts do not depend on the split.
+    Counts the uniforms below each threshold, chunk by chunk, and takes
+    differences; no per-trial row index is formed.
     """
-    obs, tree, chunk, starts = _sample_leaves(state, observables, seed, trials)
-
-    def tally(part) -> np.ndarray:
-        totals = np.zeros(len(tree.leaves), dtype=np.int64)
-        for start in part:
-            totals += np.bincount(chunk(start), minlength=len(tree.leaves))
-        return totals
-
-    if len(starts) == 1:
-        totals = tally(starts)
-    else:
-        helper_out = []
-
-        def helper() -> None:
-            try:
-                helper_out.append(tally(starts[1::2]))
-            except BaseException as exc:  # re-raised in the caller after join
-                helper_out.append(exc)
-
-        thread = threading.Thread(target=helper)
-        thread.start()
-        try:
-            totals = tally(starts[0::2])
-        finally:
-            thread.join()
-        if isinstance(helper_out[0], BaseException):
-            raise helper_out[0]
-        totals += helper_out[0]
-    return {
-        _outcomes(obs, prefix): int(count) for (prefix, _), count in zip(tree.leaves, totals) if count
-    }
+    obs, rows, thresholds, uniforms = _sample_table(state, observables, seed, trials)
+    below = np.zeros(len(thresholds), dtype=np.int64)
+    for u in uniforms:
+        below += [np.count_nonzero(u < c) for c in thresholds]
+    counts = np.diff(below, prepend=0, append=trials)
+    return {_outcomes(obs, prefix): int(n) for (prefix, _), n in zip(rows, counts) if n}

@@ -107,42 +107,30 @@ def distinct_eigenvalues(matrix: np.ndarray) -> list[float]:
     return [value for value, _ in _clusters(np.linalg.eigvalsh(matrix))]
 
 
-def sequential_sample_outcomes(
-    amplitudes: np.ndarray, matrices: list[np.ndarray], seed: int, trials: int, stray_tol: float = 1e-15
+def joint_sample_outcomes(
+    amplitudes: np.ndarray, matrices: list[np.ndarray], seed: int, trials: int, negligible: float = 1e-15
 ) -> list[tuple[int, ...]]:
     """Per-trial reference sampler: each trial's outcome indices (into ascending eigenvalues).
 
-    Trial ``t`` takes the Philox uniforms at stream offsets ``t*k .. t*k + k - 1``
-    and maps them one at a time through the Lüders-conditional cumulative
-    probabilities of the outcome prefix drawn so far, P(prefix, c) / P(prefix),
-    with joint probabilities from the joint-eigenbasis expansion; the
-    conditionals of each prefix met are memoised.  A uniform that lands on a
-    branch of probability <= ``stray_tol`` (roundoff past the last nonzero
-    branch) takes the most probable branch.
+    The rows are the joint outcomes of probability above ``negligible``, with
+    probabilities from the joint-eigenbasis expansion, in lexicographic order
+    of their index tuples.  Trial ``t`` takes the Philox uniform at stream
+    offset ``t`` and picks the row after the last cumulative threshold at or
+    below it, so a uniform past the last threshold takes the last row.
     """
     spectra = [distinct_eigenvalues(m) for m in matrices]
-    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((trials, len(matrices))).tolist()
-    memo: dict[tuple[int, ...], tuple[list[float], list[float], int]] = {}
-
-    def branches(prefix):
-        if prefix not in memo:
-            depth = len(prefix)
-            values = [spectra[d][i] for d, i in enumerate(prefix)]
-            joint = [
-                joint_probability(amplitudes, matrices[: depth + 1], values + [value]) for value in spectra[depth]
-            ]
-            probs = [p / sum(joint) for p in joint]
-            memo[prefix] = (list(np.cumsum(probs)[:-1]), probs, int(np.argmax(probs)))
-        return memo[prefix]
-
-    outcomes = []
-    for row in uniforms:
-        prefix: tuple[int, ...] = ()
-        for u in row:
-            cum, probs, most_probable = branches(prefix)
-            c = bisect.bisect_right(cum, u)
-            if probs[c] <= stray_tol:
-                c = most_probable
-            prefix += (c,)
-        outcomes.append(prefix)
-    return outcomes
+    rows = []
+    for values, iso in joint_eigenspaces(matrices):
+        coeffs = iso.conj().T @ amplitudes
+        p = float(np.real(np.vdot(coeffs, coeffs)))
+        if p > negligible:
+            index = tuple(
+                next(i for i, s in enumerate(spectrum) if abs(s - v) <= CLUSTER_TOL)
+                for spectrum, v in zip(spectra, values)
+            )
+            rows.append((index, p))
+    rows.sort()
+    cum = np.cumsum([p for _, p in rows])
+    thresholds = list(cum[:-1] / cum[-1])
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(trials).tolist()
+    return [rows[bisect.bisect_right(thresholds, u)][0] for u in uniforms]

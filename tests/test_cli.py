@@ -5,6 +5,9 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -364,3 +367,16 @@ def test_warm_runs_build_no_assignment_and_no_projector(argv, monkeypatch, capsy
     for fmt in ("json", "text"):
         assert main([*argv, "--format", fmt]) == 0
     assert builds == Counter()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_closed_stdout_exits_141_without_a_traceback(fmt):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    try:
+        argv = [sys.executable, "-m", "serlab.cli", "verify", "--scenario", "all", "--format", fmt]
+        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -20,7 +20,7 @@ GOLDEN = {
     "ad8b85ed6cbf654cba93d5dc229d8277ae98754d5e1ef17e0196e595e4edbf7b": (
         "verify --scenario all --format json"
     ),
-    "6b62697d3a7896727f4b5a98c2698b12b49b1342f4ce123135986d7b2b7445d5": (
+    "6b3af21c438f88eec0081f2d2a0f2f2e2f5d680062985ec8727c244548824051": (
         "sample --scenario all --seed 0 --trials 100000 --format json"
     ),
     "2d6e3a88f1e2a5b35d5b62d35a39fab35c9e158321d7823d082eb8da288e2903": "verify --scenario all",
@@ -41,8 +41,8 @@ DEMOS = ROOT / "demos"
 DEMO_DIGESTS = {
     "01_certainty_chain": "ff7b3dee13d403286347b39bf5487788ddac7d0bb45db5345942621e6aa6f8d8",
     "02_incompleteness": "08723d48348e6e6b53c878347cf456190acf54eaa3f36c26c4523137200f972a",
-    "03_contradictions": "8a1cdea091e54669dccb2415cbac390d53fa4cb7fe2499c68322cc3290e69565",
-    "04_sampling": "93cbbb57313a393f51ceac84894e7d1de41c62d4688397a9be56f7def617cc2c",
+    "03_contradictions": "0cddaadfab8278aa21d0a204bddfab4bfb47e30a1fbe44e1b156ece300f03e4e",
+    "04_sampling": "61954990ea96717a981d6ebafe7473155fdd6ba268dd7b7d764e87e834c06516",
 }
 
 
@@ -78,7 +78,7 @@ def _corpus() -> list[list[str]]:
     return corpus
 
 
-CORPUS_DIGEST = "ef055d39bee39b21a6cbfe6922fcf7126edc72ab0b414c31aaf974d7dfcc2520"
+CORPUS_DIGEST = "27eab06634c03abadfded11a357f3f06a3bf0ba1fe2588a1e2bf7254685ed117"
 
 
 def test_cli_corpus(monkeypatch):

@@ -3,7 +3,6 @@
 import gc
 import importlib
 import itertools
-import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -23,7 +22,6 @@ from serlab.hilbert import (
 from serlab.inference import SCENARIO_TABLE, SCENARIOS, run_scenario
 from serlab.measurement import (
     _CHUNK_TRIALS,
-    _BranchTree,
     IncompatibleObservablesError,
     OutcomeAssignment,
     ZeroProbabilityError,
@@ -37,7 +35,7 @@ from serlab.measurement import (
 from serlab.spin import Axis, hardy_projector, mermin_A, pauli, spin, spin_product
 from serlab.states import PsiParams, ghz_mermin_state, psi_state
 
-from oracles import joint_probability, random_psi_params, random_state, random_unitary, sequential_sample_outcomes
+from oracles import joint_probability, joint_sample_outcomes, random_psi_params, random_state, random_unitary
 
 DEFAULT = PsiParams(0.5, 0.5)
 spin_module = importlib.import_module("serlab.spin")  # the package exports a function named spin
@@ -420,7 +418,7 @@ def _sampling_plans():
 
 
 def test_chunks_start_on_a_philox_block():
-    # Philox yields 4 uniforms per counter step, so counter start*k // 4 is stream offset start*k exactly
+    # Philox yields 4 uniforms per counter step, so counter start // 4 is stream offset start exactly
     assert _CHUNK_TRIALS % 4 == 0
 
 
@@ -429,11 +427,10 @@ def test_chunks_start_on_a_philox_block():
 def test_sample_counts_match_per_trial_oracle(plan, seed):
     state, obs = _sampling_plans()[plan]
     chunk = _CHUNK_TRIALS
-    # the last two are split between the caller and a helper thread; at 5 chunks each side takes two or
-    # more and the last chunk is partial
+    # every chunk edge, and runs of three and five chunks whose last chunk is partial
     grid = (1, 7, 1000, chunk - 1, chunk, chunk + 1, 2 * chunk + 3, 4 * chunk + 3)
-    # the oracle's trial t depends on stream offsets t*k .. t*k + k - 1 only; the key is the seed's low 64 bits
-    oracle = sequential_sample_outcomes(state.amplitudes, [o.matrix for o in obs], seed % 2**64, max(grid))
+    # the oracle's trial t depends on stream offset t only; the key is the seed's low 64 bits
+    oracle = joint_sample_outcomes(state.amplitudes, [o.matrix for o in obs], seed % 2**64, max(grid))
     for trials in grid:
         counts = sample_counts(state, obs, seed=seed, trials=trials)
         by_index = {tuple(o.eigenvalues().index(v) for o, v in zip(obs, key)): n for key, n in counts.items()}
@@ -452,64 +449,54 @@ def test_sample_joint_prefix_stable_across_chunks():
         assert records(n) == longest[:n], n
 
 
-class _ChunkFailure(RuntimeError):
-    pass
-
-
-@pytest.mark.parametrize("failing_chunk", [3, 2], ids=["helper-chunk", "caller-chunk"])
-def test_sample_counts_reraises_a_chunk_failure_and_joins(monkeypatch, failing_chunk):
-    state, obs = _sampling_plans()["psi-xxz"]
-    seed, chunk = 4, _CHUNK_TRIALS
-    # a chunk is recognised by its first row of uniforms: stream offset start*k
-    marker = np.random.Generator(np.random.Philox(key=seed)).random((5 * chunk, len(obs)))[failing_chunk * chunk]
-    descend, raised = _BranchTree.descend, []
-
-    def failing_descend(tree, uniforms):
-        if np.array_equal(uniforms[0], marker):
-            raised.append((_ChunkFailure(failing_chunk), threading.current_thread()))
-            raise raised[-1][0]
-        return descend(tree, uniforms)
-
-    monkeypatch.setattr(_BranchTree, "descend", failing_descend)
-    threads_before = threading.active_count()
-    with pytest.raises(_ChunkFailure) as failure:
-        sample_counts(state, obs, seed=seed, trials=5 * chunk)
-    [(error, thread)] = raised
-    assert failure.value is error
-    assert (thread is threading.main_thread()) == (failing_chunk % 2 == 0)  # odd chunks run on the helper
-    assert threading.active_count() == threads_before
-
-
-def test_sample_counts_starts_one_helper_only_for_several_chunks(monkeypatch):
-    started = []
-
-    class CountingThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", CountingThread)  # the module sample_counts starts its helper from
-    state, obs = _sampling_plans()["ghz-xxx"]
-    for trials, helpers in ((1, 0), (_CHUNK_TRIALS, 0), (_CHUNK_TRIALS + 1, 1), (5 * _CHUNK_TRIALS, 1)):
-        started.clear()
-        assert sum(sample_counts(state, obs, seed=0, trials=trials).values()) == trials
-        assert len(started) == helpers, trials
-        assert not any(t.is_alive() for t in started)
-
-
-def test_stray_branch_goes_to_most_probable_branch():
-    # P(sigma_z(1) = -1) = 1 - 1e-9 and P(sigma_z(1) = +1) = 0: a uniform above
-    # 1 - 1e-9 lands past the last nonzero branch and must be remapped to it,
-    # then descend through that branch's own sigma_z(2) table (0.64 / 0.36).
+def test_uniform_past_the_last_threshold_takes_the_last_nonzero_row(monkeypatch):
+    # P(sigma_z(1) = -1) = 1 - 1e-9 and P(sigma_z(1) = +1) = 0: the table holds only the two
+    # sigma_z(1) = -1 rows, split 0.64 / 0.36, so a uniform at or past the threshold takes the second
+    # and no draw reaches a sigma_z(1) = +1 outcome
     norm = np.sqrt(1.0 - 1e-9)
     state = StateVector([0.0, 0.0, 0.6 * norm, 0.8 * norm])
     obs = [spin(Axis.Z, 1, 2), spin(Axis.Z, 2, 2)]
-    tree = _BranchTree(state, obs)
-    below_one = np.nextafter(1.0, 0.0)
-    uniforms = np.array([[below_one, 0.5], [below_one, 0.7], [0.3, below_one], [below_one, below_one]])
-    prefixes = [tree.leaves[leaf][0] for leaf in tree.descend(uniforms)]
-    assert prefixes == [(0, 0), (0, 1), (0, 1), (0, 1)]
     assert [o.eigenvalues()[0] for o in obs] == [-1.0, -1.0]
+    rows, thresholds = measurement._joint_table(state, obs)
+    assert [prefix for prefix, _ in rows] == [(0, 0), (0, 1)]
+    below_one = np.nextafter(1.0, 0.0)
+    uniforms = np.array([0.0, 0.5, thresholds[0], 0.7, below_one])
+    assert measurement._row_index(thresholds, uniforms).tolist() == [0, 0, 1, 1, 1]
+    assert set(sample_counts(state, obs, seed=0, trials=10_000)) == {(-1.0, -1.0), (-1.0, 1.0)}
+
+    class LastUniform:  # every trial draws the largest uniform below 1
+        def __init__(self, bits):
+            pass
+
+        def random(self, n):
+            return np.full(n, below_one)
+
+    monkeypatch.setattr(np.random, "Generator", LastUniform)
+    assert sample_counts(state, obs, seed=0, trials=5) == {(-1.0, 1.0): 5}
+    last = ((obs[0].name, -1.0), (obs[1].name, 1.0))
+    assert {r.outcomes for r in sample_joint(state, obs, seed=0, trials=5)} == {last}
+
+
+def test_threshold_counts_and_row_indices_aggregate_alike():
+    # psi on sigma_z(1), sigma_z(2), sigma_z(3) leaves four of the eight outcomes at probability zero
+    state = psi_state(DEFAULT)
+    obs = [spin(Axis.Z, p, 3) for p in (1, 2, 3)]
+    trials = 2 * _CHUNK_TRIALS + 3
+    counts = sample_counts(state, obs, seed=12, trials=trials)
+    records = Counter(tuple(v for _, v in r.outcomes) for r in sample_joint(state, obs, seed=12, trials=trials))
+    assert counts == records
+    assert set(counts) == {(1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (-1.0, -1.0, -1.0)}
+    assert sum(counts.values()) == trials
+
+
+def test_joint_table_has_at_most_dim_rows():
+    z = [spin(Axis.Z, p, 3) for p in (1, 2, 3)]
+    products = [Observable(a.matrix @ b.matrix) for a, b in itertools.combinations(z, 2)]
+    state = StateVector(random_state(np.random.default_rng(16), 8))
+    rows, thresholds = measurement._joint_table(state, z + products)
+    # 2**6 outcome tuples, of which only the 8 that the three sigma_z values fix are possible
+    assert len(rows) == 8 and len(thresholds) == 7
+    assert [prefix for prefix, _ in rows] == sorted(prefix for prefix, _ in rows)
 
 
 def test_sample_counts_memory_flat_in_trials():
