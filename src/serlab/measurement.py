@@ -272,6 +272,6 @@ def sample_counts(state: StateVector, observables, seed: int, trials: int) -> di
     obs, rows, thresholds, uniforms = _sample_table(state, observables, seed, trials)
     below = np.zeros(len(thresholds), dtype=np.int64)
     for u in uniforms:
-        below += [np.count_nonzero(u < c) for c in thresholds]
+        below += np.array([np.count_nonzero(u < c) for c in thresholds], dtype=np.int64)
     counts = np.diff(below, prepend=0, append=trials)
     return {_outcomes(obs, prefix): int(n) for (prefix, _), n in zip(rows, counts) if n}

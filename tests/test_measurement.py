@@ -328,6 +328,14 @@ def test_sample_eigenstate_always_plus_one():
     assert all(rec.post_state.amplitudes[0] == 1.0 for rec in records)
 
 
+def test_sample_counts_eigenstate_counts_every_trial():
+    # an eigenstate leaves a one-row table with no thresholds to count below
+    assert sample_counts(basis_state("+"), [pauli(Axis.Z)], seed=42, trials=200) == {(1.0,): 200}
+    assert sample_counts(basis_state("+"), [pauli(Axis.Z)], seed=0, trials=2 * _CHUNK_TRIALS + 3) == {
+        (1.0,): 2 * _CHUNK_TRIALS + 3
+    }
+
+
 def test_sample_reproducible_and_prefix_stable():
     state = psi_state(DEFAULT)
     obs = [spin(Axis.Z, p, 3) for p in (1, 2, 3)]
