@@ -13,28 +13,28 @@ group.  :func:`certify_ser` mechanizes exactly three clauses:
 Spacelike separation is modeled as disjoint particle-index sets; no spacetime
 geometry is represented.
 
-Each scenario is one :class:`Scenario` record in :data:`SCENARIO_TABLE`,
-run analytically by :func:`run_scenario` and sampled by :func:`sample_scenario`:
+Each scenario is one :class:`Scenario` record in :data:`SCENARIO_TABLE`, run
+analytically by :func:`run_scenario` and sampled by :func:`sample_scenario`.
+Its proof ends in :class:`Identity` rows, one report check each after its claims:
 
 * ``epr-psi``    - joint SERs sigma_x(2) = -1, sigma_x(1) = -1, pi(1+2) = 1 on
   the psi family after post-selecting sigma_z = +1 on all three particles,
-  plus the proof that the three target observables share no common eigenstate.
+  plus a no-common-eigenstate row for the three targets and the pair-state caveat.
 * ``epr-ghz``    - joint SERs A_j = eps_j on the GHZ-Mermin state for every
-  sigma_y outcome branch, plus pairwise no-common-eigenstate checks.
+  sigma_y outcome branch, plus a no-common-eigenstate row per pair.
 * ``bell-hardy`` - joint SERs sigma_z(2) = -1, sigma_z(1) = -1, pi(1+2) = 1
   after post-selecting sigma_x(1) = sigma_x(2) = sigma_z(3) = +1, whose direct
-  joint measurement is impossible in every state (the projector product is
-  the zero operator).
+  joint measurement is impossible in every state (a zero-operator row).
 * ``bell-ghz``   - joint SERs B_j = eps_j whose inferred product is -1 in
-  every sigma_x branch while B_1 B_2 B_3 is the identity, so direct
-  measurement always yields product +1.
+  every sigma_x branch (a row certain on the state) while B_1 B_2 B_3 is
+  the identity (an identity row), so direct measurement always yields +1.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -241,6 +241,19 @@ class PostSelection:
 
 
 @dataclass(frozen=True)
+class Identity:
+    """One operator identity that an argument ends in, reported as one check; :func:`_check_identity` reads each kind.
+
+    ``operators`` pairs each observable factory with a value, ``None`` where the kind reads none.
+    """
+
+    kind: str
+    anchor: str  # the report anchor after "<scenario>:"
+    operators: tuple[tuple[Callable[[], Observable], float | None], ...]
+    description: str
+
+
+@dataclass(frozen=True)
 class Scenario:
     """One argument of the paper as data.
 
@@ -249,20 +262,17 @@ class Scenario:
     measures the same triple.  Factories, not operators, so that nothing is
     built at import.  Without a ``post_selection`` the scenario runs on the
     GHZ-Mermin state in all 8 sign branches, each predicted value equal to
-    its branch sign.  ``structure`` takes no state, so its checks are built
-    once.  ``state_structure`` is called once too, and returns the function
-    of the state whose checks are computed on every run and reported before
-    them.
+    its branch sign.  ``identities`` are reported after the claim checks, in
+    row order; every row but a ``certain`` one is computed once per process.
     """
 
     measured: tuple[Callable[[], Observable], ...]
     targets: tuple[Callable[[], Observable], ...]
     target_regions: tuple[frozenset[int], ...]
-    structure: Callable[[str], list[Check]]  # name -> checks that never read the state
+    identities: tuple[Identity, ...]
     verdict: str  # "incompleteness" or "contradiction": true when every check passes
     post_selection: PostSelection | None = None
     product_constraint: float | None = None  # every sampled outcome triple multiplies to this
-    state_structure: Callable[[str], Callable[[StateVector], list[Check]]] | None = None  # name -> (state -> checks)
 
     @property
     def needs_params(self) -> bool:
@@ -274,91 +284,32 @@ def _outcome_text(outcomes) -> str:
     return "(" + ",".join(f"{v:+g}" for v in outcomes) + ")"
 
 
-def _no_common_eigenstate(ops: list[Observable], anchor: str) -> Check:
-    shared = has_common_eigenstate(ops)
-    labels = ", ".join(op.label for op in ops)
-    return Check(f"no common eigenstate of {{{labels}}}", anchor, False, shared, shared is False)
-
-
-def _targets_share_no_eigenstate(name: str) -> list[Check]:
-    """No common eigenstate of the three psi targets, plus the pair-state caveat.
-
-    On the two-particle Hardy state alone, the pi value rests on the
-    preparation itself, whose region overlaps the target region, so the claim
-    must fail certification there.
-    """
-    caveat_claim = SerClaim(hardy_projector(), 1.0, OutcomeAssignment((), dim=4), {1, 2}, {1, 2})
-    caveat = certify_ser(hardy_state(), caveat_claim).failed_clause or "certified"
-    targets = [spin(Axis.X, 1, 3), spin(Axis.X, 2, 3), hardy_projector(3)]
-    return [
-        _no_common_eigenstate(targets, f"{name}:no-common-eigenstate"),
-        Check(
-            "pair-state caveat: pi(1+2)=1 on the Hardy pair alone is not certifiable "
-            "(the preparing region overlaps the target region)",
-            f"{name}:pair-state-caveat", "region-overlap", caveat, caveat == "region-overlap",
-        ),
-    ]
-
-
-def _pairs_share_no_eigenstate(name: str) -> list[Check]:
-    pairs = itertools.combinations([mermin_A(j) for j in (1, 2, 3)], 2)
-    return [_no_common_eigenstate([a, b], f"{name}:no-common-eigenstate:{a.label},{b.label}") for a, b in pairs]
-
-
-def _zero_operator(name: str) -> list[Check]:
-    triple = OutcomeAssignment([(spin(Axis.Z, 1, 3), -1.0), (spin(Axis.Z, 2, 3), -1.0), (hardy_projector(3), 1.0)])
-    norm = float(np.max(np.abs(triple.joint_projector())))
-    return [
-        Check(
-            "projector product P(sigma_z(1)=-1) P(sigma_z(2)=-1) P(pi(1+2)=1) is the zero operator "
-            "(the inferred triple has probability 0 in every state)",
-            f"{name}:zero-operator", 0.0, norm, norm < EXACT_ENTRY_TOL,
-        )
-    ]
-
-
-def _x_product_certainty(name: str) -> Callable[[StateVector], list[Check]]:
-    minus = OutcomeAssignment([(spin_product(Axis.X, 3), -1.0)])
-
-    def checks(state: StateVector) -> list[Check]:
-        p_minus = outcome_probability(state, minus)
-        certain = _miss_probability(state.amplitudes, minus.joint_projector()) <= CERTAINTY_TOL
-        return [
-            Check(
-                "P(sigma_x(1) sigma_x(2) sigma_x(3) = -1) = 1, so the inferred product "
-                "eps_1 eps_2 eps_3 is -1 in every branch",
-                f"{name}:x-product-certainty", 1.0, p_minus, certain,
-            )
-        ]
-
-    return checks
-
-
-def _b_product_identity(name: str) -> list[Check]:
-    b_product = mermin_B(1).matrix @ mermin_B(2).matrix @ mermin_B(3).matrix
-    identity_dev = float(np.max(np.abs(b_product - np.eye(8))))
-    return [
-        Check(
-            "B_1 B_2 B_3 is the identity operator, so directly measured B values multiply to +1 in every state",
-            f"{name}:b-product-identity", 0.0, identity_dev, identity_dev < EXACT_ENTRY_TOL,
-        ),
-    ]
-
-
 def _spins(*axes: Axis) -> tuple[Callable[[], Observable], ...]:
     """Factories of one spin component per particle, particle 1 first."""
     return tuple(partial(spin, axis, particle, 3) for particle, axis in enumerate(axes, 1))
 
 
+_PI = partial(hardy_projector, 3)  # pi(1+2) among three particles
 _PSI_TARGET_REGIONS = (frozenset({2}), frozenset({1}), frozenset({1, 2}))
 _GHZ_TARGET_REGIONS = (frozenset({2, 3}), frozenset({1, 3}), frozenset({1, 2}))
 
 SCENARIO_TABLE: dict[str, Scenario] = {
     "epr-psi": Scenario(
         measured=_spins(Axis.Z, Axis.Z, Axis.Z),
-        targets=(partial(spin, Axis.X, 2, 3), partial(spin, Axis.X, 1, 3), partial(hardy_projector, 3)),
+        targets=(partial(spin, Axis.X, 2, 3), partial(spin, Axis.X, 1, 3), _PI),
         target_regions=_PSI_TARGET_REGIONS,
-        structure=_targets_share_no_eigenstate,
+        identities=(
+            Identity(
+                "no-common-eigenstate", "no-common-eigenstate",
+                tuple((make, None) for make in (*_spins(Axis.X, Axis.X), _PI)),
+                "no common eigenstate of {sigma_x(1), sigma_x(2), pi(1+2)}",
+            ),
+            Identity(
+                "pair-caveat", "pair-state-caveat", ((partial(hardy_projector, 2), 1.0),),
+                "pair-state caveat: pi(1+2)=1 on the Hardy pair alone is not certifiable "
+                "(the preparing region overlaps the target region)",
+            ),
+        ),
         verdict="incompleteness",
         post_selection=PostSelection((-1.0, -1.0, 1.0), 1.0, "|a|^2"),
     ),
@@ -366,14 +317,27 @@ SCENARIO_TABLE: dict[str, Scenario] = {
         measured=_spins(Axis.Y, Axis.Y, Axis.Y),
         targets=tuple(partial(mermin_A, j) for j in (1, 2, 3)),
         target_regions=_GHZ_TARGET_REGIONS,
-        structure=_pairs_share_no_eigenstate,
+        identities=tuple(
+            Identity(
+                "no-common-eigenstate", f"no-common-eigenstate:A_{i},A_{j}",
+                ((partial(mermin_A, i), None), (partial(mermin_A, j), None)),
+                f"no common eigenstate of {{A_{i}, A_{j}}}",
+            )
+            for i, j in itertools.combinations((1, 2, 3), 2)
+        ),
         verdict="incompleteness",
     ),
     "bell-hardy": Scenario(
         measured=_spins(Axis.X, Axis.X, Axis.Z),
-        targets=(partial(spin, Axis.Z, 2, 3), partial(spin, Axis.Z, 1, 3), partial(hardy_projector, 3)),
+        targets=(partial(spin, Axis.Z, 2, 3), partial(spin, Axis.Z, 1, 3), _PI),
         target_regions=_PSI_TARGET_REGIONS,
-        structure=_zero_operator,
+        identities=(
+            Identity(
+                "zero-operator", "zero-operator", tuple(zip((*_spins(Axis.Z, Axis.Z), _PI), (-1.0, -1.0, 1.0))),
+                "projector product P(sigma_z(1)=-1) P(sigma_z(2)=-1) P(pi(1+2)=1) is the zero operator "
+                "(the inferred triple has probability 0 in every state)",
+            ),
+        ),
         verdict="contradiction",
         post_selection=PostSelection((-1.0, -1.0, 1.0), 0.25, "|a|^2/4"),
     ),
@@ -381,10 +345,19 @@ SCENARIO_TABLE: dict[str, Scenario] = {
         measured=_spins(Axis.X, Axis.X, Axis.X),
         targets=tuple(partial(mermin_B, j) for j in (1, 2, 3)),
         target_regions=_GHZ_TARGET_REGIONS,
-        structure=_b_product_identity,
+        identities=(
+            Identity(
+                "certain", "x-product-certainty", ((partial(spin_product, Axis.X, 3), -1.0),),
+                "P(sigma_x(1) sigma_x(2) sigma_x(3) = -1) = 1, so the inferred product "
+                "eps_1 eps_2 eps_3 is -1 in every branch",
+            ),
+            Identity(
+                "identity", "b-product-identity", tuple((partial(mermin_B, j), None) for j in (1, 2, 3)),
+                "B_1 B_2 B_3 is the identity operator, so directly measured B values multiply to +1 in every state",
+            ),
+        ),
         verdict="contradiction",
         product_constraint=-1.0,
-        state_structure=_x_product_certainty,
     ),
 }
 
@@ -427,8 +400,7 @@ class _FixedPart:
     post_selection: OutcomeAssignment | None
     claims: tuple[SerClaim, ...]  # unflipped, in report order
     branch_texts: tuple[tuple[str, str], ...]  # (description, anchor) per sign branch; () when post-selected
-    structure: tuple[Check, ...]
-    state_structure: Callable[[StateVector], list[Check]] | None
+    identities: tuple[Check | Callable[[StateVector], Check], ...]  # per row: its check, or a function of the state
     outcomes: tuple[tuple[tuple[float, ...], OutcomeAssignment], ...]  # each outcome tuple of ``measured``
 
 
@@ -437,6 +409,36 @@ def _branch_text(scenario: str, targets: list[Observable], eps: tuple[float, ...
     label = ",".join(f"{e:+g}" for e in eps)
     values = ", ".join(f"{target.label}={e:+g}" for target, e in zip(targets, eps))
     return f"branch ({label}): SERs {values} all certified", f"{scenario}:branch:{label}"
+
+
+def _certainty_check(description: str, anchor: str, assignment: OutcomeAssignment, state: StateVector) -> Check:
+    """A ``certain`` row on the state: its probability, passed when the miss probability is at most CERTAINTY_TOL."""
+    certain = _miss_probability(state.amplitudes, assignment.joint_projector()) <= CERTAINTY_TOL
+    return Check(description, anchor, 1.0, outcome_probability(state, assignment), certain)
+
+
+def _check_identity(scenario: str, row: Identity) -> Check | Callable[[StateVector], Check]:
+    """The check of one identity row; for a ``certain`` row, a function of the state with its assignment built."""
+    ops = [(make(), value) for make, value in row.operators]
+    anchor = f"{scenario}:{row.anchor}"
+    if row.kind == "certain":
+        return partial(_certainty_check, row.description, anchor, OutcomeAssignment(ops))
+    if row.kind == "no-common-eigenstate":
+        shared = has_common_eigenstate([obs for obs, _ in ops])
+        return Check(row.description, anchor, False, shared, shared is False)
+    if row.kind == "pair-caveat":  # prepared and targeted on the same pair {1, 2}
+        ((obs, value),) = ops
+        claim = SerClaim(obs, value, OutcomeAssignment((), dim=obs.dim), {1, 2}, {1, 2})
+        caveat = certify_ser(hardy_state(), claim).failed_clause or "certified"
+        return Check(row.description, anchor, "region-overlap", caveat, caveat == "region-overlap")
+    if row.kind == "zero-operator":
+        deviation = float(np.max(np.abs(OutcomeAssignment(ops).joint_projector())))
+    elif row.kind == "identity":
+        product = reduce(np.matmul, (obs.matrix for obs, _ in ops))
+        deviation = float(np.max(np.abs(product - np.eye(len(product)))))
+    else:
+        raise ValueError(f"unknown identity kind {row.kind!r}")
+    return Check(row.description, anchor, 0.0, deviation, deviation < EXACT_ENTRY_TOL)
 
 
 def _build_fixed_part(scenario: str) -> _FixedPart:
@@ -458,12 +460,10 @@ def _build_fixed_part(scenario: str) -> _FixedPart:
         for given, values in branches
         for k, region in enumerate(spec.target_regions)
     )
-    state_structure = None if spec.state_structure is None else spec.state_structure(scenario)
+    identities = tuple(_check_identity(scenario, row) for row in spec.identities)
     tuples = itertools.product(*(o.eigenvalues() for o in measured))
     outcomes = tuple((tup, OutcomeAssignment(list(zip(measured, tup)))) for tup in tuples)
-    return _FixedPart(
-        measured, post_selection, claims, branch_texts, tuple(spec.structure(scenario)), state_structure, outcomes
-    )
+    return _FixedPart(measured, post_selection, claims, branch_texts, identities, outcomes)
 
 
 def run_scenario(
@@ -472,7 +472,7 @@ def run_scenario(
     *,
     flip_claim: int | None = None,
 ) -> ScenarioReport:
-    """Run one argument analytically: certify its claims, then check its structure.
+    """Run one argument analytically: certify its claims, then check its identity rows.
 
     A post-selected scenario checks the post-selection probability and gets
     one check per claim; a GHZ scenario gets one check per sign branch, which
@@ -516,9 +516,7 @@ def run_scenario(
             ok = all(cert.ok for _, cert in report.certified_claims[3 * b : 3 * b + 3])
             report.checks.append(Check(description, anchor, True, ok, ok))
 
-    if fixed.state_structure is not None:
-        report.checks.extend(fixed.state_structure(state))
-    report.checks.extend(fixed.structure)
+    report.checks.extend(row if isinstance(row, Check) else row(state) for row in fixed.identities)
     setattr(report, f"{spec.verdict}_verdict", report.passed())
     return report
 
@@ -606,13 +604,13 @@ def sample_scenario(
 
 
 def hardy_null_outcome_scan(seed: int = 0, n_states: int = 20, trials: int = 100_000) -> list[int]:
-    """Count (sigma_z(1)=-1, sigma_z(2)=-1, pi=1) outcomes across random states.
+    """Count the outcomes of bell-hardy's zero-operator row, (sigma_z(1)=-1, sigma_z(2)=-1, pi=1), across random states.
 
     The projector product for that triple is the zero operator, so every
     returned count must be 0 regardless of the sampled state.
     """
-    observables = [spin(Axis.Z, 1, 3), spin(Axis.Z, 2, 3), hardy_projector(3)]
-    target = (-1.0, -1.0, 1.0)
+    row = next(row for row in SCENARIO_TABLE["bell-hardy"].identities if row.kind == "zero-operator")
+    observables, target = zip(*((make(), value) for make, value in row.operators))
     seed, n_states = _index(seed), _index(n_states)
     if n_states < 1:
         raise ValueError("n_states must be positive")

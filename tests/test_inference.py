@@ -10,16 +10,17 @@ import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 
-from serlab import inference
-from serlab.cli import main
+from serlab import cli, inference
+from serlab.cli import RunConfig, main, run_command
 from serlab.inference import (
     SCENARIO_TABLE,
     SCENARIOS,
+    Identity,
     SerClaim,
     certify_ser,
     hardy_null_outcome_scan,
@@ -28,7 +29,7 @@ from serlab.inference import (
 )
 from serlab.hilbert import Observable, StateVector
 from serlab.measurement import OutcomeAssignment, collapse, conditional_probability
-from serlab.spin import Axis, embed, hardy_projector, mermin_A, pauli, spin
+from serlab.spin import Axis, embed, hardy_projector, mermin_A, pauli, spin, spin_product
 from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state
 
 from oracles import distinct_eigenvalues, joint_probability, random_psi_params, random_unitary
@@ -271,6 +272,19 @@ def test_run_scenario_dispatch():
     assert [name for name, spec in SCENARIO_TABLE.items() if spec.needs_params] == ["epr-psi", "bell-hardy"]
 
 
+def test_every_identity_row_is_one_check_after_the_claims():
+    assert [len(spec.identities) for spec in SCENARIO_TABLE.values()] == [2, 3, 1, 2]
+    anchors = [row.anchor for spec in SCENARIO_TABLE.values() for row in spec.identities]
+    assert len(set(anchors)) == len(anchors) == 8
+    for name, spec in SCENARIO_TABLE.items():
+        reported = [check.anchor for check in run_scenario(name, _params(name)).checks]
+        rows = [f"{name}:{row.anchor}" for row in spec.identities]
+        assert all(reported.count(anchor) == 1 for anchor in rows)
+        assert reported[-len(rows) :] == rows
+        claim_checks = reported[: -len(rows)]
+        assert claim_checks and all(a.split(":")[1] in ("postselect", "certainty", "branch") for a in claim_checks)
+
+
 # --- mutation sensitivity ------------------------------------------------------------
 
 
@@ -301,6 +315,50 @@ def test_flip_claim_out_of_range():
 def test_flip_claim_must_be_an_int(flip_claim):
     with pytest.raises(TypeError):
         run_scenario("epr-psi", DEFAULT, flip_claim=flip_claim)
+
+
+# one false row of each kind that reads operators, on the epr-psi record under a temporary key
+_FALSE_ROWS = [
+    Identity(
+        "no-common-eigenstate", "false-no-common-eigenstate",
+        ((partial(spin, Axis.Z, 1, 3), None), (partial(spin, Axis.Z, 2, 3), None)),
+        "no common eigenstate of {sigma_z(1), sigma_z(2)}",
+    ),
+    Identity(
+        "zero-operator", "false-zero-operator",
+        ((partial(spin, Axis.Z, 1, 3), -1.0), (partial(spin, Axis.Z, 2, 3), -1.0)),
+        "projector product P(sigma_z(1)=-1) P(sigma_z(2)=-1) is the zero operator",
+    ),
+    Identity(
+        "identity", "false-identity", tuple((partial(mermin_A, j), None) for j in (1, 2, 3)),
+        "A_1 A_2 A_3 is the identity operator",
+    ),
+    Identity(
+        "certain", "false-certainty", ((partial(spin_product, Axis.X, 3), -1.0),),
+        "P(sigma_x(1) sigma_x(2) sigma_x(3) = -1) = 1 on the psi family",
+    ),
+]
+
+
+@pytest.fixture
+def false_scenario(monkeypatch):
+    """A table key whose record is epr-psi's; its part is dropped from the shared memo afterwards."""
+    name = "false-row"
+    monkeypatch.setattr(cli, "_SCENARIO_CHOICES", (*cli._SCENARIO_CHOICES, name))
+    yield name
+    spin_module._SHARED.pop((inference._build_fixed_part, name), None)
+
+
+@pytest.mark.parametrize("row", _FALSE_ROWS, ids=lambda row: row.kind)
+def test_a_false_identity_row_fails_its_scenario(row, false_scenario, monkeypatch, capsys):
+    monkeypatch.setitem(SCENARIO_TABLE, false_scenario, replace(SCENARIO_TABLE["epr-psi"], identities=(row,)))
+    report = run_scenario(false_scenario, DEFAULT)
+    assert [(check.anchor, check.passed) for check in report.checks[-1:]] == [(f"{false_scenario}:{row.anchor}", False)]
+    assert report.first_failure().description == row.description
+    assert report.incompleteness_verdict is False
+    capsys.readouterr()
+    assert run_command("verify", RunConfig(scenario=false_scenario)) == 1
+    assert capsys.readouterr().err == f"FAIL: {row.description}\n"
 
 
 def test_every_emitted_claim_recertifies():
