@@ -104,7 +104,8 @@ def _check_payload(check) -> dict:
     }
 
 
-def report_payload(report: ScenarioReport, config: RunConfig) -> dict:
+def report_payload(report: ScenarioReport) -> dict:
+    """The JSON fields of one report; ``seed`` is the sampling seed, or 0 for a report that samples nothing."""
     params = report.parameters
     sampling = None
     if report.sampling is not None:
@@ -137,7 +138,7 @@ def report_payload(report: ScenarioReport, config: RunConfig) -> dict:
             "b_re": params.b.real,
             "b_im": params.b.imag,
         },
-        "seed": config.seed,
+        "seed": 0 if report.sampling is None else report.sampling.seed,
         "checks": [_check_payload(c) for c in report.checks],
         "sampling": sampling,
         "verdicts": {
@@ -224,7 +225,7 @@ def run_command(command: str, config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.format == "json":
-        payloads = [report_payload(r, config) for r in reports]
+        payloads = [report_payload(r) for r in reports]
         print(dumps(payloads[0] if len(payloads) == 1 else payloads))
     else:
         for i, report in enumerate(reports):

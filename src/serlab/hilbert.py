@@ -91,10 +91,6 @@ class StateVector:
     def dim(self) -> int:
         return self._amps.size
 
-    @property
-    def num_particles(self) -> int:
-        return self.dim.bit_length() - 1
-
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
         if other.dim != self.dim:

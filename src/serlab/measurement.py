@@ -6,12 +6,11 @@ silently order-dependent sequential one.
 
 Sampling draws from the joint Born distribution over outcome tuples, which for
 commuting observables is the sequential Lüders one.  A run keyed by ``seed``
-uses a Philox (philox4x64) stream in which trial ``t`` consumes exactly the
+reads one Philox (philox4x64) stream in order: trial ``t`` consumes exactly the
 uniform at offset ``t``, mapped through the cumulative probabilities of the
-nonzero joint outcomes in lexicographic order.  Any trial can therefore be
-regenerated independently of the others, runs are reproducible for a fixed
-(seed, trials, observable order), and extending ``trials`` preserves the
-earlier trials unchanged.
+nonzero joint outcomes in lexicographic order.  Runs are therefore
+reproducible for a fixed (seed, trials, observable order), and extending
+``trials`` preserves the earlier trials unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .hilbert import OPERATOR_TOL, SCALAR_TOL, Observable, StateVector, _index
 NEGLIGIBLE_PROBABILITY = 1e-15
 RNG_ALGORITHM = "philox4x64"
 
-# a multiple of 4, so every chunk starts on a Philox counter step (4 uniforms each)
+# uniforms drawn at a time, so memory stays flat in the trial count
 _CHUNK_TRIALS = 1 << 14
 
 __all__ = [
@@ -206,20 +205,12 @@ def _joint_table(state: StateVector, obs: list[Observable]) -> tuple[list, np.nd
     return [(prefix, amps / np.sqrt(p)) for (prefix, amps), p in zip(rows, probs)], cum[:-1] / cum[-1]
 
 
-def _row_index(thresholds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Table row of each uniform: the number of thresholds at or below it."""
-    index = np.zeros(len(uniforms), dtype=np.intp)
-    for c in thresholds:
-        index += c <= uniforms
-    return index
-
-
 def _sample_table(state, observables, seed, trials):
     """Validated observables, their joint-outcome table and the run's uniforms, chunk by chunk.
 
-    Trial ``t`` takes the uniform at offset ``t`` of a Philox stream on the
-    run's key.  Chunk ``start`` opens a new generator with its counter at
-    ``start // 4`` (4 uniforms per step), so memory stays flat in ``trials``.
+    Trial ``t`` takes the uniform at offset ``t`` of one Philox stream on the
+    run's key, drawn in order in chunks of ``_CHUNK_TRIALS``, so memory stays
+    flat in ``trials`` and no uniform depends on the chunk size.
     """
     obs = list(observables)
     if not obs:
@@ -231,14 +222,9 @@ def _sample_table(state, observables, seed, trials):
     if trials < 1:
         raise ValueError("trials must be positive")
     rows, thresholds = _joint_table(state, obs)
-    key = seed & 0xFFFFFFFFFFFFFFFF
-
-    def uniforms():
-        for start in range(0, trials, _CHUNK_TRIALS):
-            bits = np.random.Philox(counter=start // 4, key=key)
-            yield np.random.Generator(bits).random(min(_CHUNK_TRIALS, trials - start))
-
-    return obs, rows, thresholds, uniforms()
+    stream = np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
+    uniforms = (stream.random(min(_CHUNK_TRIALS, trials - start)) for start in range(0, trials, _CHUNK_TRIALS))
+    return obs, rows, thresholds, uniforms
 
 
 def _outcomes(obs, prefix) -> tuple[float, ...]:
@@ -252,7 +238,7 @@ def sample_joint(state: StateVector, observables, seed: int, trials: int) -> lis
     first N trials do not depend on the total trial count.
     """
     obs, rows, thresholds, uniforms = _sample_table(state, observables, seed, trials)
-    row_ids = np.concatenate([_row_index(thresholds, u) for u in uniforms]).tolist()
+    row_ids = np.concatenate([np.searchsorted(thresholds, u, side="right") for u in uniforms]).tolist()
     labels = [o.name for o in obs]
     drawn = {}
     for row in set(row_ids):

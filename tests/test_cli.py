@@ -259,6 +259,14 @@ def test_verify_ignores_trials():
     assert run_verify(scenario="epr-psi", trials=0)[0] == 0
 
 
+def test_verify_reports_seed_zero_whatever_seed_is_set():
+    # verify draws nothing, so its JSON carries seed 0; sample carries the seed it drew with
+    code, text = run_verify(scenario="epr-ghz", seed=7, format="json")
+    assert code == 0 and json.loads(text)["seed"] == 0
+    payload = json.loads(run_sample(scenario="epr-ghz", seed=7, trials=100, format="json")[1])
+    assert payload["seed"] == payload["sampling"]["seed"] == 7
+
+
 def test_run_command_rejects_unknown_command(capsys):
     assert run_command("bogus", RunConfig()) == 2
     assert capsys.readouterr() == ("", "error: unknown command 'bogus'; expected verify or sample\n")

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import importlib
 import io
+import itertools
 import math
 import sys
 import threading
@@ -27,7 +28,7 @@ from serlab.inference import (
     run_scenario,
     sample_scenario,
 )
-from serlab.hilbert import Observable, StateVector
+from serlab.hilbert import Observable, StateVector, has_common_eigenstate
 from serlab.measurement import OutcomeAssignment, collapse, conditional_probability
 from serlab.spin import Axis, embed, hardy_projector, mermin_A, pauli, spin, spin_product
 from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state
@@ -559,6 +560,48 @@ def test_local_unitaries_keep_every_verdict(scenario, seed):
             assert abs(_oracle_miss(moved.amplitudes, _conjugated(claim, u)) - miss) <= 1e-12
             if before.failed_clause in (None, "not-certain"):
                 assert (miss <= 1e-12) == before.ok
+    assert None in clauses and "not-certain" in clauses
+
+
+def _permuted(perm):
+    """The relabelling that moves particle ``perm[k] + 1`` to particle ``k + 1``: on states, operators and regions."""
+    n = len(perm)
+    new_place = {old + 1: new + 1 for new, old in enumerate(perm)}
+
+    def state(amplitudes):
+        return StateVector(amplitudes.reshape((2,) * n).transpose(perm).reshape(-1))
+
+    def obs(o):
+        axes = list(perm) + [n + p for p in perm]
+        return Observable(o.matrix.reshape((2,) * 2 * n).transpose(axes).reshape(2**n, 2**n), label=o.label)
+
+    def claim(c):
+        given = OutcomeAssignment([(obs(g), value) for g, value in c.conditioning.pairs], dim=c.conditioning.dim)
+        regions = [{new_place[p] for p in region} for region in (c.inferring_region, c.target_region)]
+        return SerClaim(obs(c.observable), c.predicted_value, given, *regions)
+
+    return state, obs, claim
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+def test_particle_permutations_keep_every_verdict(scenario, perm):
+    # relabelling the particles moves each operator, state and region alike, so no verdict can change
+    permute_state, permute_obs, permute_claim = _permuted(perm)
+    state = _state(scenario)
+    moved = permute_state(state.amplitudes)
+    claims = [claim for claim, _ in run_scenario(scenario, _params(scenario)).certified_claims]
+    targets = list({claim.observable.label: claim.observable for claim in claims}.values())
+    assert has_common_eigenstate([permute_obs(o) for o in targets]) == has_common_eigenstate(targets)
+    claims.append(run_scenario(scenario, _params(scenario), flip_claim=0).certified_claims[0][0])
+    clauses = set()
+    for claim in claims:
+        before, after = certify_ser(state, claim), certify_ser(moved, permute_claim(claim))
+        assert (after.ok, after.failed_clause) == (before.ok, before.failed_clause), claim.describe()
+        clauses.add(before.failed_clause)
+        miss = _oracle_miss(state.amplitudes, claim)
+        if miss is not None:
+            assert abs(_oracle_miss(moved.amplitudes, permute_claim(claim)) - miss) <= 1e-12
     assert None in clauses and "not-certain" in clauses
 
 

@@ -10,11 +10,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from serlab import measurement
+from serlab import inference, measurement
 from serlab.hilbert import (
     Observable,
     StateVector,
     acts_only_on,
+    basis_index,
     basis_state,
     common_eigenstate_dim,
     has_common_eigenstate,
@@ -425,9 +426,34 @@ def _sampling_plans():
     }
 
 
-def test_chunks_start_on_a_philox_block():
-    # Philox yields 4 uniforms per counter step, so counter start // 4 is stream offset start exactly
-    assert _CHUNK_TRIALS % 4 == 0
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("seed", [0, 383, 2**31 - 1, 2**64 - 1, -1])
+def test_any_chunk_size_reads_the_oracle_stream(monkeypatch, chunk, seed):
+    # chunks of 1 and 7 uniforms cut the stream off Philox's 4-uniform blocks; trial t still reads offset t
+    monkeypatch.setattr(measurement, "_CHUNK_TRIALS", chunk)
+    grid = sorted({1, 7, 1000, chunk, chunk + 1, 2 * chunk + 3, 4 * chunk + 3} | ({chunk - 1} - {0}))
+    for plan, (state, obs) in sorted(_sampling_plans().items()):
+        oracle = joint_sample_outcomes(state.amplitudes, [o.matrix for o in obs], seed % 2**64, max(grid))
+        for trials in grid:
+            counts = sample_counts(state, obs, seed=seed, trials=trials)
+            by_index = {tuple(o.eigenvalues().index(v) for o, v in zip(obs, key)): n for key, n in counts.items()}
+            assert by_index == Counter(oracle[:trials]), (plan, trials)
+        records = sample_joint(state, obs, seed=seed, trials=max(grid))
+        rows = [tuple(o.eigenvalues().index(v) for o, (_, v) in zip(obs, r.outcomes)) for r in records]
+        assert rows == oracle, plan
+
+
+@pytest.mark.parametrize("sample", [sample_counts, sample_joint])
+def test_one_philox_stream_per_call(monkeypatch, sample):
+    opened, philox = [], np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        opened.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    sample(psi_state(DEFAULT), [spin(Axis.Z, p, 3) for p in (1, 2, 3)], seed=3, trials=3 * _CHUNK_TRIALS + 5)
+    assert opened == [{"key": 3}]
 
 
 @pytest.mark.parametrize("plan", sorted(_sampling_plans()))
@@ -467,22 +493,20 @@ def test_uniform_past_the_last_threshold_takes_the_last_nonzero_row(monkeypatch)
     assert [o.eigenvalues()[0] for o in obs] == [-1.0, -1.0]
     rows, thresholds = measurement._joint_table(state, obs)
     assert [prefix for prefix, _ in rows] == [(0, 0), (0, 1)]
-    below_one = np.nextafter(1.0, 0.0)
-    uniforms = np.array([0.0, 0.5, thresholds[0], 0.7, below_one])
-    assert measurement._row_index(thresholds, uniforms).tolist() == [0, 0, 1, 1, 1]
     assert set(sample_counts(state, obs, seed=0, trials=10_000)) == {(-1.0, -1.0), (-1.0, 1.0)}
+    below_one = np.nextafter(1.0, 0.0)
 
-    class LastUniform:  # every trial draws the largest uniform below 1
+    class FixedUniforms:  # the trials draw a uniform at 0, below, at and past the threshold, and below 1
         def __init__(self, bits):
             pass
 
         def random(self, n):
-            return np.full(n, below_one)
+            return np.array([0.0, 0.5, thresholds[0], 0.7, below_one])[:n]
 
-    monkeypatch.setattr(np.random, "Generator", LastUniform)
-    assert sample_counts(state, obs, seed=0, trials=5) == {(-1.0, 1.0): 5}
-    last = ((obs[0].name, -1.0), (obs[1].name, 1.0))
-    assert {r.outcomes for r in sample_joint(state, obs, seed=0, trials=5)} == {last}
+    monkeypatch.setattr(np.random, "Generator", FixedUniforms)
+    first, last = ((obs[0].name, -1.0), (obs[1].name, -1.0)), ((obs[0].name, -1.0), (obs[1].name, 1.0))
+    assert [r.outcomes for r in sample_joint(state, obs, seed=0, trials=5)] == [first, first, last, last, last]
+    assert sample_counts(state, obs, seed=0, trials=5) == {(-1.0, -1.0): 2, (-1.0, 1.0): 3}
 
 
 def test_threshold_counts_and_row_indices_aggregate_alike():
@@ -518,3 +542,50 @@ def test_sample_counts_memory_flat_in_trials():
         tracemalloc.stop()
     assert sum(counts.values()) == 10**6
     assert peak < 16 * 2**20
+
+
+# --- error paths ----------------------------------------------------------------
+
+
+def _single_eigenvalue_claim():
+    return inference.SerClaim(Observable(np.eye(8)), 1.0, OutcomeAssignment((), dim=8), {1}, {2})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: basis_index("+x"), "pattern must be a nonempty string over '+'/'-', got '+x'"),
+        (lambda: basis_state("+").overlap(basis_state("++")), "states live in different spaces"),
+        (lambda: Observable(np.zeros((2, 3))), "operator entries must form a square matrix, got shape (2, 3)"),
+        (lambda: common_eigenstate_dim([], []), "need at least one observable"),
+        (lambda: common_eigenstate_dim([pauli(Axis.Z)], [1.0, -1.0]), "got 1 observables but 2 values"),
+        (
+            lambda: OutcomeAssignment([(pauli(Axis.Z), 1.0)], dim=4),
+            "explicit dim 4 does not match observables of dim 2",
+        ),
+        (lambda: OutcomeAssignment(()), "an empty assignment needs an explicit dim"),
+        (
+            lambda: outcome_probability(basis_state("++"), OutcomeAssignment([(pauli(Axis.Z), 1.0)])),
+            "state and assignment live in different spaces",
+        ),
+        (lambda: collapse(basis_state("++"), pauli(Axis.Z), 1.0), "state and observable live in different spaces"),
+        (lambda: sample_counts(basis_state("+"), [], seed=0, trials=1), "need at least one observable"),
+        (
+            lambda: sample_joint(basis_state("++"), [pauli(Axis.Z)], seed=0, trials=1),
+            "state and observables live in different spaces",
+        ),
+        (
+            lambda: inference._check_identity("epr-psi", inference.Identity("bogus", "x", (), "d")),
+            "unknown identity kind 'bogus'",
+        ),
+        (
+            lambda: inference._flip([_single_eigenvalue_claim()], 0),
+            "observable has a single eigenvalue; nothing to flip to",
+        ),
+    ],
+)
+def test_error_paths_raise_value_error_with_their_message(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert raised.type is ValueError
+    assert str(raised.value) == message
