@@ -16,7 +16,7 @@ reproducible for a fixed (seed, trials, observable order), and extending
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,9 +155,12 @@ def collapse(state: StateVector, observable: Observable, value: float) -> StateV
     return StateVector(amps / np.sqrt(weight))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One sampled trial: (label, eigenvalue) outcomes and the final collapsed state."""
+class MeasurementRecord(NamedTuple):
+    """One sampled trial: (label, eigenvalue) outcomes and the final collapsed state.
+
+    An immutable named tuple ``(trial, outcomes, post_state)``.  The records of
+    one joint outcome share that outcome's ``outcomes`` tuple and ``post_state``.
+    """
 
     trial: int
     outcomes: tuple[tuple[str, float], ...]
@@ -235,18 +238,18 @@ def sample_joint(state: StateVector, observables, seed: int, trials: int) -> lis
     """Sample ``trials`` joint measurements of a commuting observable list.
 
     Fully reproducible for a fixed (seed, trials, order); the records for the
-    first N trials do not depend on the total trial count.
+    first N trials do not depend on the total trial count.  Each joint outcome's
+    outcomes tuple and post-state are built once and shared by every record of
+    that outcome; the records are then made in one pass over the trials.
     """
     obs, rows, thresholds, uniforms = _sample_table(state, observables, seed, trials)
     row_ids = np.concatenate([np.searchsorted(thresholds, u, side="right") for u in uniforms]).tolist()
     labels = [o.name for o in obs]
-    drawn = {}
-    for row in set(row_ids):
-        prefix, amps = rows[row]
-        drawn[row] = (tuple(zip(labels, _outcomes(obs, prefix))), StateVector(amps))
-    return [
-        MeasurementRecord(trial=t, outcomes=drawn[row][0], post_state=drawn[row][1]) for t, row in enumerate(row_ids)
-    ]
+    outcomes = [tuple(zip(labels, _outcomes(obs, prefix))) for prefix, _ in rows]
+    posts = [StateVector(amps) for _, amps in rows]
+    # tuple.__new__ fills each record in C; calling MeasurementRecord would run its Python-level __new__ per trial
+    fields = zip(range(trials), map(outcomes.__getitem__, row_ids), map(posts.__getitem__, row_ids))
+    return list(map(tuple.__new__, itertools.repeat(MeasurementRecord), fields))
 
 
 def sample_counts(state: StateVector, observables, seed: int, trials: int) -> dict[tuple[float, ...], int]:

@@ -24,6 +24,7 @@ from serlab.inference import SCENARIO_TABLE, SCENARIOS, run_scenario
 from serlab.measurement import (
     _CHUNK_TRIALS,
     IncompatibleObservablesError,
+    MeasurementRecord,
     OutcomeAssignment,
     ZeroProbabilityError,
     collapse,
@@ -542,6 +543,38 @@ def test_sample_counts_memory_flat_in_trials():
         tracemalloc.stop()
     assert sum(counts.values()) == 10**6
     assert peak < 16 * 2**20
+
+
+def test_sample_joint_records_are_immutable_and_share_each_outcome():
+    state = psi_state(DEFAULT)
+    obs = [spin(Axis.Z, p, 3) for p in (1, 2, 3)]
+    records = sample_joint(state, obs, seed=3, trials=500)
+    assert all(type(r) is MeasurementRecord for r in records)
+    with pytest.raises(AttributeError):
+        records[0].trial = 1
+    assert [r.trial for r in records] == list(range(500))
+    assert tuple(records[7]) == (7, records[7].outcomes, records[7].post_state)
+    by_outcome: dict = {}
+    for r in records:
+        by_outcome.setdefault(tuple(v for _, v in r.outcomes), []).append(r)
+    assert len(by_outcome) == 4
+    for group in by_outcome.values():
+        assert len({id(r.outcomes) for r in group}) == 1
+        assert len({id(r.post_state) for r in group}) == 1
+
+
+def test_sample_joint_memory_per_record():
+    state = psi_state(DEFAULT)
+    obs = [spin(Axis.Z, p, 3) for p in (1, 2, 3)]
+    trials = 10**5
+    tracemalloc.start()
+    try:
+        records = sample_joint(state, obs, seed=1, trials=trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == trials
+    assert peak < 160 * trials
 
 
 # --- error paths ----------------------------------------------------------------

@@ -30,6 +30,20 @@ def test_import_loads_the_library_modules_and_not_the_cli():
     assert out.stdout.split() == sorted(f"serlab.{name}" for name in LIBRARY_MODULES)
 
 
+def test_sampling_leaves_numpy_ma_unloaded():
+    # numpy.ma loads lazily on first use (np.unique reaches it) and adds about 0.7 MB of peak RSS
+    src = os.path.dirname(os.path.dirname(serlab.__file__))
+    code = (
+        "import sys; from serlab import *; state = psi_state(PsiParams(0.5, 0.5)); "
+        "obs = [spin(Axis.Z, p, 3) for p in (1, 2, 3)]; "
+        "sample_joint(state, obs, seed=1, trials=1000); sample_counts(state, obs, seed=1, trials=1000); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
+
+
 def test_every_name_the_tracer_wraps_by_name_is_a_function():
     # the tracer skips a missing name silently, so a renamed function would read as a 0 per-layer metric
     path = Path(__file__).resolve().parents[1] / "serbench" / "tracer.py"
