@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _quote  # the C escaper json.dumps(str) calls
 
 from .hilbert import _index
 from .inference import SCENARIO_TABLE, SCENARIOS, ScenarioReport, _outcome_text, run_scenario, sample_scenario
@@ -72,23 +72,41 @@ class RunConfig:
 
 def dumps(value) -> str:
     """``value`` as JSON: fields in insertion order, floats to 17 significant digits, non-finite floats refused."""
+    out: list[str] = []
+    _emit(value, out)
+    return "".join(out)
+
+
+def _emit(value, out: list[str]) -> None:
+    """Append the JSON pieces of ``value`` to ``out``; ``dumps`` joins them once."""
     if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"cannot serialize non-finite float {value}")
-        return format(float(value), ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(str(key))}:{dumps(item)}" for key, item in value.items()) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(map(dumps, value)) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        out.append(format(float(value), ".17g"))
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        sep = "{"  # what goes before the next member: the opening brace, then commas
+        for key, item in value.items():
+            out.append(f"{sep}{_quote(str(key))}:")
+            _emit(item, out)
+            sep = ","
+        out.append("{}" if sep == "{" else "}")
+    elif isinstance(value, (list, tuple)):
+        sep = "["
+        for item in value:
+            out.append(sep)
+            _emit(item, out)
+            sep = ","
+        out.append("[]" if sep == "[" else "]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 # --- report payloads --------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -372,7 +372,7 @@ def _prepare(scenario: str, params: PsiParams | None) -> tuple[Scenario, StateVe
     if spec is None:
         raise ValueError(f"unknown scenario {scenario!r}")
     if not spec.needs_params:
-        return spec, ghz_mermin_state(), None
+        return spec, _shared(ghz_mermin_state), None  # read-only, so one instance serves every run
     if params is None:
         raise ValueError(f"scenario {scenario!r} needs psi-family parameters (a, b)")
     return spec, psi_state(params), params
@@ -398,7 +398,7 @@ class _FixedPart:
 
     measured: tuple[Observable, ...]
     post_selection: OutcomeAssignment | None
-    claims: tuple[SerClaim, ...]  # unflipped, in report order
+    claims: tuple[SerClaim, ...]  # unflipped, in report order; a GHZ claim fills the 4 slots of its (k, eps_k)
     branch_texts: tuple[tuple[str, str], ...]  # (description, anchor) per sign branch; () when post-selected
     identities: tuple[Check | Callable[[StateVector], Check], ...]  # per row: its check, or a function of the state
     outcomes: tuple[tuple[tuple[float, ...], OutcomeAssignment], ...]  # each outcome tuple of ``measured``
@@ -455,11 +455,11 @@ def _build_fixed_part(scenario: str) -> _FixedPart:
         post_selection = OutcomeAssignment([(obs, +1.0) for obs in measured])
         branches = [((+1.0, +1.0, +1.0), post.predicted)]
         branch_texts = ()
-    claims = tuple(
-        SerClaim(targets[k], values[k], OutcomeAssignment([(measured[k], given[k])]), {k + 1}, region)
-        for given, values in branches
-        for k, region in enumerate(spec.target_regions)
-    )
+    @cache  # a claim reads one outcome and one value: branches that agree on both hold one claim object
+    def claim(k: int, given: float, value: float) -> SerClaim:
+        return SerClaim(targets[k], value, OutcomeAssignment([(measured[k], given)]), {k + 1}, spec.target_regions[k])
+
+    claims = tuple(claim(k, given[k], values[k]) for given, values in branches for k in range(len(targets)))
     identities = tuple(_check_identity(scenario, row) for row in spec.identities)
     tuples = itertools.product(*(o.eigenvalues() for o in measured))
     outcomes = tuple((tup, OutcomeAssignment(list(zip(measured, tup)))) for tup in tuples)
@@ -481,7 +481,9 @@ def run_scenario(
     the argument, so the verdict is ``report.passed()``: a failing check,
     even a NaN post-selection value, voids it.  The claims and every check
     that does not read the state are built once (:func:`_build_fixed_part`);
-    a flipped claim replaces one entry of a copy of the claim list.
+    a flipped claim replaces one entry of a copy of the claim list.  Each
+    distinct claim object is certified once per run, so a claim shared by
+    four GHZ branches is judged once and a flip reaches its own slot only.
     """
     spec, state, params = _prepare(scenario, params)
     fixed = _shared(_build_fixed_part, scenario)
@@ -504,7 +506,10 @@ def run_scenario(
     claims = list(fixed.claims)
     if flip_claim is not None:
         _flip(claims, flip_claim)
-    report.certified_claims = [(claim, certify_ser(state, claim)) for claim in claims]
+    # each distinct claim object once; by identity, since the frozen dataclass's hash would hash every field
+    distinct = {id(claim): claim for claim in claims}
+    verdicts = {key: certify_ser(state, claim) for key, claim in distinct.items()}
+    report.certified_claims = [(claim, verdicts[id(claim)]) for claim in claims]
 
     if post is not None:
         for claim, cert in report.certified_claims:

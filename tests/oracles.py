@@ -3,12 +3,15 @@
 These deliberately avoid the library's projector-product route: joint
 probabilities are computed by expanding the state in an explicit joint
 eigenbasis (built by recursive eigenspace refinement) and summing squared
-amplitudes.  The seeded draws of random test inputs live here too.
+amplitudes.  The seeded draws of random test inputs live here too, and a
+reference JSON emitter for the CLI's byte-deterministic output.
 """
 
 from __future__ import annotations
 
 import bisect
+import json
+import math
 
 import numpy as np
 
@@ -134,3 +137,24 @@ def joint_sample_outcomes(
     thresholds = list(cum[:-1] / cum[-1])
     uniforms = np.random.Generator(np.random.Philox(key=seed)).random(trials).tolist()
     return [rows[bisect.bisect_right(thresholds, u)][0] for u in uniforms]
+
+
+def reference_dumps(value) -> str:
+    """The CLI's JSON emitter as nested joins: same type precedence, 17-digit floats and error messages."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite float {value}")
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(str(key))}:{reference_dumps(item)}" for key, item in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(reference_dumps, value)) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -3,6 +3,7 @@
 The named operators and each scenario's state-free part are built once per
 process, so a passing call, a flipped call and a passing call again, in one
 interpreter, also show that nothing carries over from one call to the next.
+The JSON emitter is held to the reference emitter in ``oracles``, byte for byte.
 """
 
 import contextlib
@@ -10,12 +11,15 @@ import io
 import json
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from serlab.cli import main
+from serlab.cli import dumps, main
 from serlab.hilbert import SCALAR_TOL
 from serlab.inference import SCENARIOS
+
+from oracles import reference_dumps
 
 PSI_SCENARIOS = ("epr-psi", "bell-hardy")
 PSI_TARGETS = {
@@ -101,3 +105,68 @@ def test_non_finite_amplitude_exits_2(command, scenario, flag, value, attached):
     code, out, err = run([command, "--scenario", scenario, *option, "--format", "json"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- the JSON emitter ---------------------------------------------------------------
+
+# every code point class the escaper treats apart: ASCII, control characters, non-ASCII, lone surrogates
+TEXT = st.text(st.one_of(st.characters(), st.characters(max_codepoint=0x1F), st.characters(categories=["Cs"])))
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**200), 2**200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]),  # -0, subnormals, max
+    TEXT,
+)
+KEYS = st.one_of(TEXT, st.integers(), st.none())  # the emitter writes str(key)
+UNSERIALIZABLE = st.sampled_from([math.nan, math.inf, -math.inf, np.bool_(True), np.int64(3), {1}])
+
+
+def _nested(leaves):
+    def extend(children):
+        lists = st.lists(children, max_size=4)
+        return st.one_of(lists, lists.map(tuple), st.dictionaries(KEYS, children, max_size=4))
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@st.composite
+def _buried(draw):
+    """An unserializable value at a drawn depth, with serializable siblings before and after it at each level."""
+    value = draw(UNSERIALIZABLE)
+    for _ in range(draw(st.integers(0, 4))):
+        before, after = draw(st.lists(SCALARS, max_size=2)), draw(st.lists(SCALARS, max_size=2))
+        kind = draw(st.sampled_from(["list", "tuple", "dict"]))
+        items = [*before, value, *after]
+        if kind == "dict":
+            value = {f"k{i}": item for i, item in enumerate(items)}
+        else:
+            value = items if kind == "list" else tuple(items)
+    return value
+
+
+def _outcome(emit, value):
+    try:
+        return emit(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100)
+@given(_nested(SCALARS))
+def test_dumps_matches_the_reference_byte_for_byte(value):
+    assert dumps(value) == reference_dumps(value)
+
+
+@settings(max_examples=100)
+@given(_buried())
+def test_dumps_refuses_what_the_reference_refuses_with_its_message(value):
+    refused = _outcome(reference_dumps, value)
+    assert isinstance(refused, tuple) and refused[0] in (TypeError, ValueError)
+    assert _outcome(dumps, value) == refused
+
+
+def test_dumps_writes_empty_containers_and_edge_scalars_like_the_reference():
+    for value in ([], (), {}, [[], {}, ()], {"": {}}, -0.0, 5e-324, 2**100, "\x00\u00e9\ud800", True, None):
+        assert dumps(value) == reference_dumps(value)

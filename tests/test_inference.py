@@ -299,12 +299,33 @@ def test_flipping_any_psi_claim_fails(scenario, n_claims):
         assert flipped_cert.failed_clause == "not-certain"
 
 
+def _counting_certify(monkeypatch) -> list:
+    """Record each claim that ``run_scenario`` certifies from here on."""
+    judged = []
+    certify = inference.certify_ser
+
+    def counting(state, claim):
+        judged.append(claim)
+        return certify(state, claim)
+
+    monkeypatch.setattr(inference, "certify_ser", counting)
+    return judged
+
+
 @pytest.mark.parametrize("scenario", ["epr-ghz", "bell-ghz"])
-def test_flipping_ghz_claims_fails(scenario):
-    for k in (0, 7, 23):
+def test_flipping_ghz_claims_fails(scenario, monkeypatch):
+    # a flip fails its own branch only: its slot's three twins keep the shared claim and stay certified
+    shared = [claim for claim, _ in run_scenario(scenario).certified_claims]
+    judged = _counting_certify(monkeypatch)
+    for k in range(24):
         report = run_scenario(scenario, flip_claim=k)
         assert not report.passed()
-        assert not report.certified_claims[k][1]
+        twins = [i for i, claim in enumerate(shared) if claim is shared[k] and i != k]
+        assert len(twins) == 3 and all(report.certified_claims[i][0] is shared[k] for i in twins)
+        assert [bool(cert) for _, cert in report.certified_claims] == [i != k for i in range(24)]
+        branches = [check.passed for check in report.checks if ":branch:" in check.anchor]
+        assert branches == [b != k // 3 for b in range(8)]
+    assert len(judged) == 24 * 7  # the flipped claim and the 6 shared ones, each once per run
 
 
 def test_flip_claim_out_of_range():
@@ -442,6 +463,31 @@ def test_nonlocal_second_pair_fails_after_honest_claims():
         assert (cert.ok, cert.failed_clause) == (False, "conditioning-not-local")
 
 
+def test_verify_certifies_each_distinct_claim_once(monkeypatch):
+    argv = ["verify", "--scenario", "all", "--format", "json"]
+    warm = _cli(argv)  # builds every scenario part, whose pair-caveat row certifies a claim of its own
+    judged = _counting_certify(monkeypatch)
+    assert _cli(argv) == warm and warm[0] == 0
+    assert len(judged) == 18  # 3 per post-selected scenario; per GHZ scenario one per (k, eps_k), not 24
+    assert len({id(claim) for claim in judged}) == 18
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_certified_claims_keep_one_slot_per_branch_and_target(scenario):
+    spec = SCENARIO_TABLE[scenario]
+    if spec.needs_params:  # +1 on every measured spin, the post-selection's predicted values
+        slots = [((+1.0, +1.0, +1.0), spec.post_selection.predicted)]
+    else:  # branch b measures and predicts its signs, branches in --flip-claim order
+        slots = [(eps, eps) for eps in itertools.product((+1.0, -1.0), repeat=3)]
+    expected = [
+        (spec.targets[k](), values[k], ((spec.measured[k](), given[k]),)) for given, values in slots for k in range(3)
+    ]
+    report = run_scenario(scenario, _params(scenario))
+    got = [(claim.observable, claim.predicted_value, claim.conditioning.pairs) for claim, _ in report.certified_claims]
+    assert got == expected and all(cert.ok for _, cert in report.certified_claims)
+    assert len({id(claim) for claim, _ in report.certified_claims}) == (3 if spec.needs_params else 6)
+
+
 def _parts() -> int:
     """The scenario parts held in the shared memo."""
     return sum(isinstance(value, inference._FixedPart) for value in spin_module._SHARED.values())
@@ -462,13 +508,13 @@ def test_flip_runs_keep_memory_bounded():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        flips(2000)
+        flips(500)
         gc.collect()
         growth = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert _parts() == len(SCENARIOS)
-    assert growth < 64 * 1024  # a claim kept per flip would take about 2000 kB
+    assert growth < 16 * 1024  # 32 B per flip; keeping each flipped claim alive read about 100 kB
 
 
 def test_threads_racing_on_first_runs_share_one_part(monkeypatch):
