@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +116,7 @@ def basis_state(pattern: str) -> StateVector:
     return StateVector(_ket({pattern: 1.0}))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Distinct eigenvalues (ascending) with their orthogonal eigenprojectors.
 
     Numerically split degenerate eigenvalues are merged with clustering

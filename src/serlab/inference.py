@@ -33,9 +33,10 @@ Its proof ends in :class:`Identity` rows, one report check each after its claims
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial, reduce
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -139,11 +140,15 @@ class SerClaim:
 
 @dataclass(frozen=True)
 class Certification:
-    """Verdict of :func:`certify_ser`; falsy when a named clause failed."""
+    """Verdict of :func:`certify_ser`; falsy when a named clause failed.
+
+    ``miss`` is the claim's miss probability, infinite when a clause before not-certain failed.
+    """
 
     ok: bool
     failed_clause: str | None = None
     detail: str = ""
+    miss: float = math.inf
 
     def __bool__(self) -> bool:
         return self.ok
@@ -173,23 +178,35 @@ def certify_ser(state: StateVector, claim: SerClaim) -> Certification:
         return Certification(False, "condition-unpreparable", "conditioning outcome has probability ~0")
     miss = _miss_probability(phi, claim._target_projector)
     if not miss <= CERTAINTY_TOL:
-        return Certification(False, "not-certain", f"miss probability is {miss!r}, above {CERTAINTY_TOL:g}")
-    return Certification(True)
+        return Certification(False, "not-certain", f"miss probability is {miss!r}, above {CERTAINTY_TOL:g}", miss)
+    return Certification(True, miss=miss)
 
 
-@dataclass(frozen=True)
-class Check:
-    """One verified statement: expected vs computed, with a stable anchor id."""
+class Check(NamedTuple):
+    """One verified statement: expected vs computed, with a stable anchor id.
+
+    ``deviation`` is how far the checked quantity is from what the check requires; the check passes when it is at
+    most ``bound``, so a NaN deviation fails.
+    """
 
     description: str
     anchor: str
     expected: object
     computed: object
-    passed: bool
+    deviation: float
+    bound: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.deviation <= self.bound
 
 
-@dataclass(frozen=True)
-class FrequencyEntry:
+def _equality_check(description: str, anchor: str, expected: object, computed: object) -> Check:
+    """A check that passes when ``computed == expected``."""
+    return Check(description, anchor, expected, computed, float(computed != expected))
+
+
+class FrequencyEntry(NamedTuple):
     """Empirical vs analytic weight of one joint outcome tuple."""
 
     outcomes: tuple[float, ...]
@@ -199,8 +216,7 @@ class FrequencyEntry:
     z: float | None
 
 
-@dataclass
-class SamplingStats:
+class SamplingStats(NamedTuple):
     trials: int
     seed: int
     algorithm: str
@@ -225,14 +241,10 @@ class ScenarioReport:
         return all(check.passed for check in self.checks)
 
     def first_failure(self) -> Check | None:
-        for check in self.checks:
-            if not check.passed:
-                return check
-        return None
+        return next((check for check in self.checks if not check.passed), None)
 
 
-@dataclass(frozen=True)
-class PostSelection:
+class PostSelection(NamedTuple):
     """Post-selection of +1 on every measured observable of the psi-family state."""
 
     predicted: tuple[float, float, float]  # the targets' certain values on that branch
@@ -240,8 +252,7 @@ class PostSelection:
     text: str  # the same, as the check description writes it
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """One operator identity that an argument ends in, reported as one check; :func:`_check_identity` reads each kind.
 
     ``operators`` pairs each observable factory with a value, ``None`` where the kind reads none.
@@ -392,8 +403,7 @@ def _flip(claims: list[SerClaim], which: int) -> None:
     claims[which] = replace(claim, predicted_value=others[0])
 
 
-@dataclass(frozen=True)
-class _FixedPart:
+class _FixedPart(NamedTuple):
     """What a run or a sampling of one scenario computes without reading the state."""
 
     measured: tuple[Observable, ...]
@@ -411,26 +421,26 @@ def _branch_text(scenario: str, targets: list[Observable], eps: tuple[float, ...
     return f"branch ({label}): SERs {values} all certified", f"{scenario}:branch:{label}"
 
 
-def _certainty_check(description: str, anchor: str, assignment: OutcomeAssignment, state: StateVector) -> Check:
-    """A ``certain`` row on the state: its probability, passed when the miss probability is at most CERTAINTY_TOL."""
-    certain = _miss_probability(state.amplitudes, assignment.joint_projector()) <= CERTAINTY_TOL
-    return Check(description, anchor, 1.0, outcome_probability(state, assignment), certain)
-
-
 def _check_identity(scenario: str, row: Identity) -> Check | Callable[[StateVector], Check]:
-    """The check of one identity row; for a ``certain`` row, a function of the state with its assignment built."""
+    """The check of one identity row; for a ``certain`` row, a function of the state with its assignment built.
+
+    A ``certain`` row reports the values' probability, against CERTAINTY_TOL on their miss probability.
+    """
     ops = [(make(), value) for make, value in row.operators]
     anchor = f"{scenario}:{row.anchor}"
     if row.kind == "certain":
-        return partial(_certainty_check, row.description, anchor, OutcomeAssignment(ops))
+        assignment = OutcomeAssignment(ops)
+        return lambda state: Check(
+            row.description, anchor, 1.0, outcome_probability(state, assignment),
+            _miss_probability(state.amplitudes, assignment.joint_projector()), CERTAINTY_TOL,
+        )
     if row.kind == "no-common-eigenstate":
-        shared = has_common_eigenstate([obs for obs, _ in ops])
-        return Check(row.description, anchor, False, shared, shared is False)
+        return _equality_check(row.description, anchor, False, has_common_eigenstate([obs for obs, _ in ops]))
     if row.kind == "pair-caveat":  # prepared and targeted on the same pair {1, 2}
         ((obs, value),) = ops
         claim = SerClaim(obs, value, OutcomeAssignment((), dim=obs.dim), {1, 2}, {1, 2})
         caveat = certify_ser(hardy_state(), claim).failed_clause or "certified"
-        return Check(row.description, anchor, "region-overlap", caveat, caveat == "region-overlap")
+        return _equality_check(row.description, anchor, "region-overlap", caveat)
     if row.kind == "zero-operator":
         deviation = float(np.max(np.abs(OutcomeAssignment(ops).joint_projector())))
     elif row.kind == "identity":
@@ -438,7 +448,7 @@ def _check_identity(scenario: str, row: Identity) -> Check | Callable[[StateVect
         deviation = float(np.max(np.abs(product - np.eye(len(product)))))
     else:
         raise ValueError(f"unknown identity kind {row.kind!r}")
-    return Check(row.description, anchor, 0.0, deviation, deviation < EXACT_ENTRY_TOL)
+    return Check(row.description, anchor, 0.0, deviation, deviation, EXACT_ENTRY_TOL)
 
 
 def _build_fixed_part(scenario: str) -> _FixedPart:
@@ -494,12 +504,12 @@ def run_scenario(
         report.post_selection = fixed.post_selection
         p_post = outcome_probability(state, report.post_selection)
         expected_post = post.weight * abs(params.a) ** 2
-        close = abs(p_post - expected_post) <= SCALAR_TOL * expected_post  # relative: |a|^2 may be ~1e-12
         report.post_selection_probability = p_post
         report.checks.append(
             Check(
                 f"post-selection probability P({report.post_selection.describe()}) = {post.text}",
-                f"{scenario}:postselect", expected_post, p_post, close,
+                f"{scenario}:postselect", expected_post, p_post,
+                abs(p_post - expected_post), SCALAR_TOL * expected_post,  # relative: |a|^2 may be ~1e-12
             )
         )
 
@@ -515,11 +525,13 @@ def run_scenario(
         for claim, cert in report.certified_claims:
             detail = "" if cert.ok else f" [{cert.failed_clause}: {cert.detail}]"
             anchor = f"{scenario}:certainty:{claim.observable.label}"
-            report.checks.append(Check(f"certified SER {claim.describe()}{detail}", anchor, True, cert.ok, cert.ok))
+            check = Check(f"certified SER {claim.describe()}{detail}", anchor, True, cert.ok, cert.miss, CERTAINTY_TOL)
+            report.checks.append(check)
     else:
         for b, (description, anchor) in enumerate(fixed.branch_texts):
-            ok = all(cert.ok for _, cert in report.certified_claims[3 * b : 3 * b + 3])
-            report.checks.append(Check(description, anchor, True, ok, ok))
+            certs = [cert for _, cert in report.certified_claims[3 * b : 3 * b + 3]]
+            miss = max((cert.miss for cert in certs), key=lambda m: (m != m, m))  # a NaN miss is the largest
+            report.checks.append(Check(description, anchor, True, all(certs), miss, CERTAINTY_TOL))
 
     report.checks.extend(row if isinstance(row, Check) else row(state) for row in fixed.identities)
     setattr(report, f"{spec.verdict}_verdict", report.passed())
@@ -560,51 +572,26 @@ def sample_scenario(
             z = float((freq - p) / np.sqrt(p * (1.0 - p) / trials))
         entries.append(FrequencyEntry(outcomes=tup, expected=p, count=count, frequency=freq, z=z))
         tup_label = _outcome_text(tup)
-        if z is not None:
-            report.checks.append(
-                Check(
-                    description=f"frequency of {tup_label} within {Z_SCORE_LIMIT:g} sigma of {p:.6g}",
-                    anchor=f"{scenario}:sampling:z:{tup_label}",
-                    expected=f"|z| < {Z_SCORE_LIMIT:g}",
-                    computed=z,
-                    passed=bool(abs(z) < Z_SCORE_LIMIT),
-                )
-            )
+        if z is not None:  # |z| < Z_SCORE_LIMIT: at most the largest float below it
+            description = f"frequency of {tup_label} within {Z_SCORE_LIMIT:g} sigma of {p:.6g}"
+            anchor, expected = f"{scenario}:sampling:z:{tup_label}", f"|z| < {Z_SCORE_LIMIT:g}"
+            report.checks.append(Check(description, anchor, expected, z, abs(z), math.nextafter(Z_SCORE_LIMIT, 0.0)))
         else:
-            expected_count = 0 if p < 0.5 else trials
-            report.checks.append(
-                Check(
-                    description=f"outcome {tup_label} has Born probability {p:g}: hard count constraint",
-                    anchor=f"{scenario}:sampling:hard:{tup_label}",
-                    expected=expected_count,
-                    computed=count,
-                    passed=count == expected_count,
-                )
-            )
+            description = f"outcome {tup_label} has Born probability {p:g}: hard count constraint"
+            anchor, expected_count = f"{scenario}:sampling:hard:{tup_label}", 0 if p < 0.5 else trials
+            report.checks.append(_equality_check(description, anchor, expected_count, count))
         if p > NEGLIGIBLE_PROBABILITY and count == 0:
             unobserved.append(tup)
         if product_constraint is not None and abs(float(np.prod(tup)) - product_constraint) > EIGENVALUE_TOL:
             product_violations += count
 
     if product_constraint is not None:
-        report.checks.append(
-            Check(
-                description=f"product of outcomes equals {product_constraint:+g} in every trial",
-                anchor=f"{scenario}:sampling:product-constraint",
-                expected=0,
-                computed=product_violations,
-                passed=product_violations == 0,
-            )
-        )
+        description = f"product of outcomes equals {product_constraint:+g} in every trial"
+        anchor = f"{scenario}:sampling:product-constraint"
+        report.checks.append(_equality_check(description, anchor, 0, product_violations))
 
-    report.sampling = SamplingStats(
-        trials=trials,
-        seed=seed,
-        algorithm=RNG_ALGORITHM,
-        observable_labels=tuple(o.name for o in observables),
-        entries=entries,
-        unobserved_admissible=unobserved,
-    )
+    labels = tuple(o.name for o in observables)
+    report.sampling = SamplingStats(trials, seed, RNG_ALGORITHM, labels, entries, unobserved)
     return report
 
 

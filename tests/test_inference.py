@@ -1,5 +1,6 @@
 """Tests for SER certification and the four scenarios of the scenario table."""
 
+import cmath
 import contextlib
 import gc
 import importlib
@@ -15,12 +16,17 @@ from functools import partial, reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from serlab import cli, inference
 from serlab.cli import RunConfig, main, run_command
 from serlab.inference import (
+    CERTAINTY_TOL,
     SCENARIO_TABLE,
     SCENARIOS,
+    Z_SCORE_LIMIT,
+    Check,
     Identity,
     SerClaim,
     certify_ser,
@@ -28,7 +34,7 @@ from serlab.inference import (
     run_scenario,
     sample_scenario,
 )
-from serlab.hilbert import Observable, StateVector, has_common_eigenstate
+from serlab.hilbert import EXACT_ENTRY_TOL, SCALAR_TOL, Observable, StateVector, has_common_eigenstate
 from serlab.measurement import OutcomeAssignment, collapse, conditional_probability
 from serlab.spin import Axis, embed, hardy_projector, mermin_A, pauli, spin, spin_product
 from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state
@@ -390,6 +396,83 @@ def test_every_emitted_claim_recertifies():
         for claim, cert in report.certified_claims:
             assert bool(cert)
             assert bool(certify_ser(state, claim))
+
+
+# --- one rule decides every check ------------------------------------------------------------
+
+
+@st.composite
+def psi_params(draw) -> PsiParams:
+    """Random admissible (a, b): 3|a|^2 + |b|^2 = 1, ab != 0 and |a|^2 above the zero-probability tolerance."""
+    mod_a_sq = draw(st.floats(SCALAR_TOL, 1.0 / 3.0, exclude_min=True, exclude_max=True))
+    phase_a, phase_b = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
+    try:
+        return PsiParams(cmath.rect(math.sqrt(mod_a_sq), phase_a), cmath.rect(math.sqrt(1.0 - 3.0 * mod_a_sq), phase_b))
+    except ValueError:  # the rounding of sqrt and the phase may land on a bound
+        reject()
+
+
+def _flip_choices(scenario):
+    return st.tuples(st.just(scenario), st.none() | st.integers(0, 2 if SCENARIO_TABLE[scenario].needs_params else 23))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(SCENARIOS).flatmap(_flip_choices), psi_params(), st.integers(0, 2**32))
+def test_each_check_passes_by_its_deviation_and_bound(flip, params, seed):
+    scenario, flip_claim = flip
+    spec = SCENARIO_TABLE[scenario]
+    params = params if spec.needs_params else None
+    report = run_scenario(scenario, params, flip_claim=flip_claim)
+    assert getattr(report, f"{spec.verdict}_verdict") == all(check.passed for check in report.checks)
+    assert report.passed() == (flip_claim is None)
+    certs = [cert for _, cert in report.certified_claims]
+    assert all(cert.ok == (cert.miss <= CERTAINTY_TOL) for cert in certs)
+    if spec.needs_params:
+        claim_checks = [check for check in report.checks if ":certainty:" in check.anchor]
+        assert [(check.passed, check.deviation) for check in claim_checks] == [(cert.ok, cert.miss) for cert in certs]
+    else:
+        branch_checks = [check for check in report.checks if ":branch:" in check.anchor]
+        assert [check.passed for check in branch_checks] == [all(certs[3 * b : 3 * b + 3]) for b in range(8)]
+    sampled = sample_scenario(scenario, params, seed=seed, trials=200).checks
+    for check in sampled:
+        if ":sampling:z:" in check.anchor:
+            assert check.passed == (abs(check.computed) < Z_SCORE_LIMIT)
+    for check in report.checks + sampled:
+        if check.bound == 0.0:  # an equality check: no-common-eigenstate, pair caveat, hard count, product
+            assert check.passed == (check.computed == check.expected)
+
+
+def test_a_nan_deviation_fails_even_against_an_infinite_bound():
+    assert not Check("d", "a", 0.0, math.nan, math.nan, math.inf).passed
+    assert Check("d", "a", 0.0, math.inf, math.inf, math.inf).passed
+
+
+def test_a_z_check_fails_at_the_limit_and_passes_one_ulp_below(monkeypatch):
+    # p = 1/2 on every tuple and all 16 trials on the first: z = (1 - 1/2) / sqrt(1/4 / 16) = 4 exactly
+    first = sample_scenario("epr-ghz", trials=1).sampling.entries[0].outcomes
+    monkeypatch.setattr(inference, "outcome_probability", lambda state, assignment: 0.5)
+    monkeypatch.setattr(inference, "sample_counts", lambda state, observables, seed, trials: {first: trials})
+    check = sample_scenario("epr-ghz", trials=16).checks[0]
+    assert (check.anchor, check.computed, check.passed) == ("epr-ghz:sampling:z:(-1,-1,-1)", Z_SCORE_LIMIT, False)
+    below = math.nextafter(Z_SCORE_LIMIT, 0.0)
+    assert check._replace(computed=below, deviation=below).passed
+
+
+@pytest.mark.parametrize("entry, passed", [(EXACT_ENTRY_TOL, True), (math.nextafter(EXACT_ENTRY_TOL, 1.0), False)])
+def test_an_identity_row_may_reach_the_entry_tolerance(entry, passed, false_scenario, monkeypatch):
+    # the comparison Observable's Hermiticity test makes on the same tolerance
+    near = np.eye(8)
+    near[0, 1] = near[1, 0] = entry
+    row = Identity("identity", "near-identity", ((partial(Observable, near, "N"), None),), "N is the identity operator")
+    monkeypatch.setitem(SCENARIO_TABLE, false_scenario, replace(SCENARIO_TABLE["epr-psi"], identities=(row,)))
+    check = run_scenario(false_scenario, DEFAULT).checks[-1]
+    assert (check.deviation, check.bound, check.passed) == (entry, EXACT_ENTRY_TOL, passed)
+    near[1, 0] = 0.0  # a Hermiticity deviation of ``entry``
+    if passed:
+        Observable(near)
+    else:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Observable(near)
 
 
 # --- what a run builds once ------------------------------------------------------------
