@@ -1,9 +1,9 @@
 """Seeded Monte Carlo measurement: calibration, reproducibility, trial independence.
 
-The sampler draws joint Born-rule outcomes of commuting observables, using a
-counter-based Philox stream: trial t always reads the uniform at offset t,
-so runs are reproducible, prefixes are stable when the trial count grows,
-and trials could be generated in any order.
+The sampler draws joint Born-rule outcomes of commuting observables from one
+PCG64DXSM stream: trial t always reads the uniform at offset t, so runs are
+reproducible, prefixes are stable when the trial count grows, and trials
+could be generated in any order (the generator's advance(t) jumps to trial t).
 
 Run:  python3 demos/04_sampling.py
 """

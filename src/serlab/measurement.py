@@ -6,11 +6,11 @@ silently order-dependent sequential one.
 
 Sampling draws from the joint Born distribution over outcome tuples, which for
 commuting observables is the sequential Lüders one.  A run keyed by ``seed``
-reads one Philox (philox4x64) stream in order: trial ``t`` consumes exactly the
-uniform at offset ``t``, mapped through the cumulative probabilities of the
-nonzero joint outcomes in lexicographic order.  Runs are therefore
-reproducible for a fixed (seed, trials, observable order), and extending
-``trials`` preserves the earlier trials unchanged.
+reads one PCG64DXSM stream in order, one 64-bit output per uniform: trial
+``t`` consumes exactly the uniform at offset ``t``, mapped through the
+cumulative probabilities of the nonzero joint outcomes in lexicographic order.
+Runs are therefore reproducible for a fixed (seed, trials, observable order),
+and extending ``trials`` preserves the earlier trials unchanged.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .hilbert import OPERATOR_TOL, SCALAR_TOL, Observable, StateVector, _index
 
 # an outcome of Born probability at or below this is never drawn, nor listed as admissible when unseen
 NEGLIGIBLE_PROBABILITY = 1e-15
-RNG_ALGORITHM = "philox4x64"
+RNG_ALGORITHM = "pcg64dxsm"
 
 # uniforms drawn at a time, so memory stays flat in the trial count
 _CHUNK_TRIALS = 1 << 14
@@ -54,10 +54,10 @@ class ZeroProbabilityError(ValueError):
 
 
 def commutes(a: Observable, b: Observable) -> bool:
-    """Whether the commutator ab - ba vanishes entrywise within ``OPERATOR_TOL``."""
+    """Whether every entry of the commutator ab - ba is at most ``OPERATOR_TOL`` in magnitude."""
     if a.dim != b.dim:
         raise ValueError("observables act on different spaces")
-    return float(np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix))) < OPERATOR_TOL
+    return float(np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix))) <= OPERATOR_TOL
 
 
 class OutcomeAssignment:
@@ -211,9 +211,10 @@ def _joint_table(state: StateVector, obs: list[Observable]) -> tuple[list, np.nd
 def _sample_table(state, observables, seed, trials):
     """Validated observables, their joint-outcome table and the run's uniforms, chunk by chunk.
 
-    Trial ``t`` takes the uniform at offset ``t`` of one Philox stream on the
-    run's key, drawn in order in chunks of ``_CHUNK_TRIALS``, so memory stays
-    flat in ``trials`` and no uniform depends on the chunk size.
+    Trial ``t`` takes the uniform at offset ``t`` of one PCG64DXSM stream
+    seeded with the seed's low 64 bits, drawn in order in chunks of
+    ``_CHUNK_TRIALS``, so memory stays flat in ``trials`` and no uniform
+    depends on the chunk size.
     """
     obs = list(observables)
     if not obs:
@@ -225,7 +226,7 @@ def _sample_table(state, observables, seed, trials):
     if trials < 1:
         raise ValueError("trials must be positive")
     rows, thresholds = _joint_table(state, obs)
-    stream = np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
+    stream = np.random.Generator(np.random.PCG64DXSM(seed & 0xFFFFFFFFFFFFFFFF))
     uniforms = (stream.random(min(_CHUNK_TRIALS, trials - start)) for start in range(0, trials, _CHUNK_TRIALS))
     return obs, rows, thresholds, uniforms
 

@@ -1,14 +1,21 @@
 """Shared test settings and fixtures."""
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from serlab.spin import Axis, hardy_projector, mermin_A, mermin_B, spin, spin_product
 
 # Wall time per example swings by 1.5-2x on a shared machine, so a per-example
 # deadline would make the suite flaky; derandomize draws the same examples on
-# every run, and no example database is written.
-settings.register_profile("serlab", deadline=None, derandomize=True, database=None)
+# every run, and no example database is written.  Shrinking is left out: a
+# failing example is reported as drawn, in seconds rather than about a minute.
+settings.register_profile(
+    "serlab",
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
 settings.load_profile("serlab")
 
 

@@ -117,9 +117,10 @@ def joint_sample_outcomes(
 
     The rows are the joint outcomes of probability above ``negligible``, with
     probabilities from the joint-eigenbasis expansion, in lexicographic order
-    of their index tuples.  Trial ``t`` takes the Philox uniform at stream
-    offset ``t`` and picks the row after the last cumulative threshold at or
-    below it, so a uniform past the last threshold takes the last row.
+    of their index tuples.  Trial ``t`` takes the uniform at offset ``t`` of
+    one PCG64DXSM stream seeded with ``seed`` and picks the row after the last
+    cumulative threshold at or below it, so a uniform past the last threshold
+    takes the last row.
     """
     spectra = [distinct_eigenvalues(m) for m in matrices]
     rows = []
@@ -135,7 +136,7 @@ def joint_sample_outcomes(
     rows.sort()
     cum = np.cumsum([p for _, p in rows])
     thresholds = list(cum[:-1] / cum[-1])
-    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(trials).tolist()
+    uniforms = np.random.Generator(np.random.PCG64DXSM(seed)).random(trials).tolist()
     return [rows[bisect.bisect_right(thresholds, u)][0] for u in uniforms]
 
 

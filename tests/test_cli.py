@@ -91,7 +91,7 @@ def test_sample_epr_psi_json():
     assert code == 0
     payload = json.loads(text)
     assert payload["sampling"]["trials"] == 20_000
-    assert payload["sampling"]["algorithm"] == "philox4x64"
+    assert payload["sampling"]["algorithm"] == "pcg64dxsm"
     freq = {tuple(e["outcomes"]): e for e in payload["sampling"]["frequencies"]}
     entry = freq[(1.0, 1.0, 1.0)]
     assert entry["expected"] == 0.25

@@ -20,7 +20,7 @@ GOLDEN = {
     "ad8b85ed6cbf654cba93d5dc229d8277ae98754d5e1ef17e0196e595e4edbf7b": (
         "verify --scenario all --format json"
     ),
-    "6b3af21c438f88eec0081f2d2a0f2f2e2f5d680062985ec8727c244548824051": (
+    "91d7e239fcc97fdb0f62e2432aaabad7ecfd8598c2c754b7050be24cc1c5c7c1": (
         "sample --scenario all --seed 0 --trials 100000 --format json"
     ),
     "2d6e3a88f1e2a5b35d5b62d35a39fab35c9e158321d7823d082eb8da288e2903": "verify --scenario all",
@@ -41,8 +41,8 @@ DEMOS = ROOT / "demos"
 DEMO_DIGESTS = {
     "01_certainty_chain": "ff7b3dee13d403286347b39bf5487788ddac7d0bb45db5345942621e6aa6f8d8",
     "02_incompleteness": "08723d48348e6e6b53c878347cf456190acf54eaa3f36c26c4523137200f972a",
-    "03_contradictions": "0cddaadfab8278aa21d0a204bddfab4bfb47e30a1fbe44e1b156ece300f03e4e",
-    "04_sampling": "61954990ea96717a981d6ebafe7473155fdd6ba268dd7b7d764e87e834c06516",
+    "03_contradictions": "c090df7a971b76ee643de1c2d016124a916a6fdabdf40c1d3e804950e89c96c1",
+    "04_sampling": "f445b6014194861bb51e8efceea07153ef0d15947581940d15d0a7069811b02c",
 }
 
 
@@ -78,7 +78,7 @@ def _corpus() -> list[list[str]]:
     return corpus
 
 
-CORPUS_DIGEST = "27eab06634c03abadfded11a357f3f06a3bf0ba1fe2588a1e2bf7254685ed117"
+CORPUS_DIGEST = "a78e56eeac822d303432325f875057d7f14cdcbbf77d3f4fe0407b0a2df371cc"
 
 
 def test_cli_corpus(monkeypatch):

@@ -743,7 +743,7 @@ def test_sample_scenario_bell_ghz_hard_constraint():
     product_check = next(c for c in report.checks if "product-constraint" in c.anchor)
     assert product_check.computed == 0
     assert report.sampling.unobserved_admissible == []
-    assert report.sampling.algorithm == "philox4x64"
+    assert report.sampling.algorithm == "pcg64dxsm"
 
 
 def test_sample_scenario_epr_ghz_covers_all_branches():

@@ -12,6 +12,7 @@ import pytest
 
 from serlab import inference, measurement
 from serlab.hilbert import (
+    OPERATOR_TOL,
     Observable,
     StateVector,
     acts_only_on,
@@ -211,6 +212,17 @@ def test_commutes_hardy_cases():
     assert commutes(Observable(np.eye(8)), pi3)
 
 
+def test_commutes_holds_at_a_commutator_entry_of_exactly_operator_tol():
+    # [sigma_z, c sigma_x] = 2ic sigma_y, so c = OPERATOR_TOL / 2 puts the largest entry exactly on the bound,
+    # where acts_only_on's residual and Check.passed also hold
+    z = spin(Axis.Z, 1, 3)
+    at_bound = Observable(spin(Axis.X, 1, 3).matrix * (OPERATOR_TOL / 2))
+    assert float(np.max(np.abs(z.matrix @ at_bound.matrix - at_bound.matrix @ z.matrix))) == OPERATOR_TOL
+    assert commutes(z, at_bound) and commutes(at_bound, z)
+    past_bound = Observable(spin(Axis.X, 1, 3).matrix * np.nextafter(OPERATOR_TOL / 2, 1.0))
+    assert not commutes(z, past_bound)
+
+
 def test_commutes_dim_mismatch():
     for _ in range(2):
         with pytest.raises(ValueError):
@@ -344,7 +356,7 @@ def test_sample_reproducible_and_prefix_stable():
     a = sample_joint(state, obs, seed=5, trials=50)
     b = sample_joint(state, obs, seed=5, trials=50)
     assert [r.outcomes for r in a] == [r.outcomes for r in b]
-    # counter-based stream: the first trials are unchanged when trials grows
+    # one stream read in order: the first trials are unchanged when trials grows
     longer = sample_joint(state, obs, seed=5, trials=200)
     assert [r.outcomes for r in a] == [r.outcomes for r in longer[:50]]
     different = sample_joint(state, obs, seed=6, trials=50)
@@ -430,7 +442,7 @@ def _sampling_plans():
 @pytest.mark.parametrize("chunk", [1, 7])
 @pytest.mark.parametrize("seed", [0, 383, 2**31 - 1, 2**64 - 1, -1])
 def test_any_chunk_size_reads_the_oracle_stream(monkeypatch, chunk, seed):
-    # chunks of 1 and 7 uniforms cut the stream off Philox's 4-uniform blocks; trial t still reads offset t
+    # chunks of 1 and 7 uniforms split the stream where the default chunk never does; trial t still reads offset t
     monkeypatch.setattr(measurement, "_CHUNK_TRIALS", chunk)
     grid = sorted({1, 7, 1000, chunk, chunk + 1, 2 * chunk + 3, 4 * chunk + 3} | ({chunk - 1} - {0}))
     for plan, (state, obs) in sorted(_sampling_plans().items()):
@@ -445,16 +457,36 @@ def test_any_chunk_size_reads_the_oracle_stream(monkeypatch, chunk, seed):
 
 
 @pytest.mark.parametrize("sample", [sample_counts, sample_joint])
-def test_one_philox_stream_per_call(monkeypatch, sample):
-    opened, philox = [], np.random.Philox
+@pytest.mark.parametrize("seed, key", [(3, 3), (-1, 2**64 - 1), (2**64 + 3, 3)])
+def test_one_pcg64dxsm_stream_per_call(monkeypatch, sample, seed, key):
+    opened, pcg = [], np.random.PCG64DXSM
 
-    def counting_philox(*args, **kwargs):
-        opened.append(kwargs)
-        return philox(*args, **kwargs)
+    def counting_pcg(*args, **kwargs):
+        opened.append((args, kwargs))
+        return pcg(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "Philox", counting_philox)
-    sample(psi_state(DEFAULT), [spin(Axis.Z, p, 3) for p in (1, 2, 3)], seed=3, trials=3 * _CHUNK_TRIALS + 5)
-    assert opened == [{"key": 3}]
+    monkeypatch.setattr(np.random, "PCG64DXSM", counting_pcg)
+    sample(psi_state(DEFAULT), [spin(Axis.Z, p, 3) for p in (1, 2, 3)], seed=seed, trials=3 * _CHUNK_TRIALS + 5)
+    # one generator for every chunk, seeded with the seed's low 64 bits
+    assert opened == [((key,), {})]
+
+
+@pytest.mark.parametrize("seed", [0, -1])
+def test_trial_t_reads_the_stream_advanced_by_t(seed):
+    # trials can be generated out of order: advance(t) jumps to the uniform that trial t takes
+    chunk = _CHUNK_TRIALS
+    offsets = (0, 1, chunk - 1, chunk, 2 * chunk + 2)
+    trials = max(offsets) + 1
+    for plan, (state, obs) in sorted(_sampling_plans().items()):
+        rows, thresholds = measurement._joint_table(state, obs)
+        records = sample_joint(state, obs, seed=seed, trials=trials)
+        oracle = joint_sample_outcomes(state.amplitudes, [o.matrix for o in obs], seed % 2**64, trials)
+        for t in offsets:
+            bits = np.random.PCG64DXSM(seed & 0xFFFFFFFFFFFFFFFF).advance(t)
+            u = np.random.Generator(bits).random()
+            row = rows[int(np.searchsorted(thresholds, u, side="right"))][0]
+            record_row = tuple(o.eigenvalues().index(v) for o, (_, v) in zip(obs, records[t].outcomes))
+            assert record_row == row == oracle[t], (plan, t)
 
 
 @pytest.mark.parametrize("plan", sorted(_sampling_plans()))
