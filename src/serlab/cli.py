@@ -10,7 +10,6 @@ numbers are serialized with 17 significant digits and field order is fixed.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
@@ -275,6 +274,8 @@ def _add_common_options(parser: argparse.ArgumentParser, d: RunConfig) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on the first call (not at import) and reused for the life of the process."""
+    import argparse  # here, so that importing the module does not load argparse
+
     parser = argparse.ArgumentParser(
         prog="serlab",
         description="Verify certain-value inference arguments on three-qubit entangled states.",

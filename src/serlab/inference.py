@@ -494,7 +494,18 @@ def run_scenario(
     a flipped claim replaces one entry of a copy of the claim list.  Each
     distinct claim object is certified once per run, so a claim shared by
     four GHZ branches is judged once and a flip reaches its own slot only.
+    A GHZ scenario's state is fixed, so its unflipped report is built once
+    per process, through ``spin._shared``; each call gets a new report
+    holding its own ``checks`` and ``certified_claims`` lists.
     """
+    spec = SCENARIO_TABLE.get(scenario)
+    if spec is None or spec.needs_params or flip_claim is not None:
+        return _run_scenario(scenario, params, flip_claim)
+    report = _shared(_run_scenario, scenario)
+    return replace(report, checks=list(report.checks), certified_claims=list(report.certified_claims))
+
+
+def _run_scenario(scenario: str, params: PsiParams | None = None, flip_claim: int | None = None) -> ScenarioReport:
     spec, state, params = _prepare(scenario, params)
     fixed = _shared(_build_fixed_part, scenario)
     report = ScenarioReport(scenario=scenario, parameters=params)

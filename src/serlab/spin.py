@@ -70,8 +70,8 @@ def embed(op: Observable, particle: int, n_particles: int) -> Observable:
 # into the label, raises TypeError.  Arguments that make a build raise are
 # never stored, so they raise on every call.  setdefault hands threads that
 # race on a first call the same instance.  inference keeps each scenario's
-# state-free part and the GHZ-Mermin state here too, so emptying this one
-# dict rebuilds all of them.
+# state-free part, the GHZ-Mermin state and the unflipped GHZ reports here
+# too, so emptying this one dict rebuilds all of them.
 _SHARED: dict[tuple, object] = {}
 
 

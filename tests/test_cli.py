@@ -349,6 +349,20 @@ def test_second_verify_builds_no_projector_and_no_parser(monkeypatch, capsys):
     assert projector_builds == first and cli.build_parser.cache_info().misses == 1
 
 
+def test_import_leaves_argparse_unloaded_until_the_first_main():
+    code = (
+        "import sys, serlab.cli; print('argparse' in sys.modules); "
+        "code = serlab.cli.main(['verify', '--scenario', 'epr-ghz', '--format', 'json']); "
+        "print('argparse' in sys.modules, code)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    lines = out.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "True 0"
+    assert json.loads("\n".join(lines[1:-1]))["scenario"] == "epr-ghz"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify", "--scenario", "all"], ["sample", "--scenario", "all", "--trials", "1000"]],

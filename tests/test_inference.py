@@ -43,6 +43,7 @@ from oracles import distinct_eigenvalues, joint_probability, random_psi_params, 
 
 DEFAULT = PsiParams(0.5, 0.5)
 spin_module = importlib.import_module("serlab.spin")  # the package exports a function named spin
+GHZ_SCENARIOS = [name for name in SCENARIOS if not SCENARIO_TABLE[name].needs_params]
 
 
 def _params(scenario):
@@ -496,10 +497,29 @@ def test_flipped_runs_leave_the_shared_claims_untouched(scenario):
     assert first[0] == 0 and all(a is b for a, b in zip(claims(), shared))
     for k in range(len(shared)):
         assert _cli([*argv, "--flip-claim", str(k)])[0] == 1
+        assert _cli(argv) == first  # an unflipped run after a flipped one writes the same bytes and exit code
         flipped = claims(k)
         assert [a is b for a, b in zip(flipped, shared)] == [i != k for i in range(len(shared))]
-    assert _cli(argv) == first
     assert all(a is b for a, b in zip(claims(), shared))
+
+
+@pytest.mark.parametrize("scenario", GHZ_SCENARIOS)
+def test_changing_a_returned_ghz_report_leaves_the_next_one_alone(scenario):
+    verdict = f"{SCENARIO_TABLE[scenario].verdict}_verdict"
+    first = run_scenario(scenario)
+    checks, certified = list(first.checks), list(first.certified_claims)
+    setattr(first, verdict, False)
+    first.checks.append(first.checks[0])
+    first.checks[0] = first.checks[0]._replace(deviation=math.nan)
+    first.certified_claims.append(first.certified_claims[0])
+    first.certified_claims[1] = first.certified_claims[0]
+    assert not first.passed()
+    second = run_scenario(scenario)
+    assert second.checks is not first.checks and second.certified_claims is not first.certified_claims
+    assert second.checks == checks and second.passed() and getattr(second, verdict) is True
+    assert [(id(claim), cert) for claim, cert in second.certified_claims] == [
+        (id(claim), cert) for claim, cert in certified
+    ]
 
 
 def test_replaced_claim_recomputes_its_clauses():
@@ -546,13 +566,37 @@ def test_nonlocal_second_pair_fails_after_honest_claims():
         assert (cert.ok, cert.failed_clause) == (False, "conditioning-not-local")
 
 
+def _part(scenario):
+    """The scenario's state-free part, from the shared memo."""
+    return inference._shared(inference._build_fixed_part, scenario)
+
+
 def test_verify_certifies_each_distinct_claim_once(monkeypatch):
     argv = ["verify", "--scenario", "all", "--format", "json"]
-    warm = _cli(argv)  # builds every scenario part, whose pair-caveat row certifies a claim of its own
+    monkeypatch.setattr(spin_module, "_SHARED", {})
     judged = _counting_certify(monkeypatch)
-    assert _cli(argv) == warm and warm[0] == 0
-    assert len(judged) == 18  # 3 per post-selected scenario; per GHZ scenario one per (k, eps_k), not 24
-    assert len({id(claim) for claim in judged}) == 18
+    cold = _cli(argv)
+    assert cold[0] == 0
+    # building epr-psi's part certifies the claim of its pair-caveat row, on a 4x4 observable of its own
+    caveat = [claim for claim in judged if claim.observable is hardy_projector(2)]
+    claims = [claim for claim in judged if claim.observable is not hardy_projector(2)]
+    assert len(caveat) == 1
+    assert len(claims) == 18  # 3 per post-selected scenario; per GHZ scenario one per (k, eps_k), not 24
+    assert len({id(claim) for claim in claims}) == 18
+
+    judged.clear()
+    assert _cli(argv) == cold
+    # the GHZ reports are kept from the cold run, so only the psi family's 6 claims are certified again
+    psi = [claim for name in SCENARIOS if SCENARIO_TABLE[name].needs_params for claim in _part(name).claims]
+    assert [id(claim) for claim in judged] == [id(claim) for claim in psi] and len(psi) == 6
+
+    for scenario in GHZ_SCENARIOS:  # a flipped run certifies afresh: its flipped claim and the 6 shared ones
+        shared = {id(claim) for claim in _part(scenario).claims}
+        judged.clear()
+        assert _cli(["verify", "--scenario", scenario, "--flip-claim", "5"])[0] == 1
+        fresh = [claim for claim in judged if id(claim) not in shared]
+        assert len(judged) == 7 and len(shared) == 6 and len(fresh) == 1
+        assert fresh[0].predicted_value == -_part(scenario).claims[5].predicted_value
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -608,8 +652,7 @@ def test_threads_racing_on_first_runs_share_one_part(monkeypatch):
 
     def work(k):
         barrier.wait(timeout=10)
-        reports = [run_scenario(name, _params(name)) for name in SCENARIOS]
-        results[k] = [([claim for claim, _ in r.certified_claims], r.checks) for r in reports]
+        results[k] = [run_scenario(name, _params(name)) for name in SCENARIOS]
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -624,10 +667,12 @@ def test_threads_racing_on_first_runs_share_one_part(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert _parts() == len(SCENARIOS)
     for other in results[1:]:
-        for (claims, checks), (first_claims, first_checks) in zip(other, results[0]):
-            assert all(a is b for a, b in zip(claims, first_claims))
-            assert checks == first_checks
-    assert all(check.passed for _, checks in results[0] for check in checks)
+        for report, first in zip(other, results[0]):
+            assert all(a is b for (a, _), (b, _) in zip(report.certified_claims, first.certified_claims))
+            assert report.checks == first.checks
+            # a GHZ report is built once, but each call holds lists of its own
+            assert report.checks is not first.checks and report.certified_claims is not first.certified_claims
+    assert all(report.passed() for report in results[0])
 
 
 # --- metamorphic: local unitaries --------------------------------------------------------
