@@ -18,7 +18,9 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper json.dumps(str) calls
 
 from .hilbert import _index
-from .inference import SCENARIO_TABLE, SCENARIOS, ScenarioReport, _outcome_text, run_scenario, sample_scenario
+from .inference import SCENARIO_TABLE, SCENARIOS, ScenarioReport, run_scenario, sample_scenario
+from .inference import _keeps_report, _outcome_text
+from .spin import _shared
 from .states import PsiParams
 
 __all__ = ["RunConfig", "run_command", "main"]
@@ -34,6 +36,7 @@ class RunConfig:
 
     A bool or float ``trials``, ``seed`` or ``flip_claim`` raises ``TypeError``; a numpy integer becomes an int.
     The rules of one command are applied when it runs: ``sample`` needs ``trials >= 1``, which ``verify`` never reads.
+    ``psi_params`` is built once, by construction when a psi scenario is selected, and serves the whole run.
     """
 
     scenario: str = "all"
@@ -54,7 +57,7 @@ class RunConfig:
         if self.flip_claim is not None and self.scenario == "all":
             raise ValueError("--flip-claim requires a single --scenario")
         if any(SCENARIO_TABLE[name].needs_params for name in self.selected()):
-            self.psi_params()
+            self.psi_params  # built and validated here, once, and kept for the run
         for name in ("trials", "seed", "flip_claim"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _index(getattr(self, name)))
@@ -62,6 +65,7 @@ class RunConfig:
     def selected(self) -> list[str]:
         return list(SCENARIOS) if self.scenario == "all" else [self.scenario]
 
+    @functools.cached_property
     def psi_params(self) -> PsiParams:
         return PsiParams(complex(self.a_re, self.a_im), complex(self.b_re, self.b_im))
 
@@ -222,7 +226,7 @@ def _run_reports(command: str, config: RunConfig) -> list[ScenarioReport]:
         raise ValueError("--flip-claim applies to verify only; sample has no claims to flip")
     reports = []
     for name in config.selected():
-        params = config.psi_params() if SCENARIO_TABLE[name].needs_params else None
+        params = config.psi_params if SCENARIO_TABLE[name].needs_params else None
         if command == "sample":
             reports.append(sample_scenario(name, params, seed=config.seed, trials=config.trials))
         else:
@@ -230,11 +234,18 @@ def _run_reports(command: str, config: RunConfig) -> list[ScenarioReport]:
     return reports
 
 
+def _report_json(scenario: str) -> str:
+    """The JSON text of a report that ``run_scenario`` keeps; built through ``spin._shared``, so once per process."""
+    return dumps(report_payload(run_scenario(scenario)))
+
+
 def run_command(command: str, config: RunConfig) -> int:
     """Run ``verify`` (the analytic checks) or ``sample`` (Monte Carlo calibration) and report on stdout.
 
     Returns the exit code: 0 when every check passes, 1 when one fails (named
-    on stderr), 2 for an unknown command or a parameter error.
+    on stderr), 2 for an unknown command or a parameter error.  The JSON text
+    of a ``verify`` report that ``run_scenario`` keeps (an unflipped GHZ
+    scenario) is built once per process and printed as kept on every later run.
     """
     try:
         reports = _run_reports(command, config)
@@ -242,8 +253,9 @@ def run_command(command: str, config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.format == "json":
-        payloads = [report_payload(r) for r in reports]
-        print(dumps(payloads[0] if len(payloads) == 1 else payloads))
+        kept = [command == "verify" and _keeps_report(r.scenario, config.flip_claim) for r in reports]
+        texts = [_shared(_report_json, r.scenario) if k else dumps(report_payload(r)) for r, k in zip(reports, kept)]
+        print(texts[0] if len(texts) == 1 else "[" + ",".join(texts) + "]")  # the bytes dumps(list) gives
     else:
         for i, report in enumerate(reports):
             if i:

@@ -404,12 +404,13 @@ def _flip(claims: list[SerClaim], which: int) -> None:
 
 
 class _FixedPart(NamedTuple):
-    """What a run or a sampling of one scenario computes without reading the state."""
+    """What a run or a sampling of one scenario computes without reading the state, report texts included."""
 
     measured: tuple[Observable, ...]
     post_selection: OutcomeAssignment | None
+    post_text: str  # the post-selection check's description; "" when not post-selected
     claims: tuple[SerClaim, ...]  # unflipped, in report order; a GHZ claim fills the 4 slots of its (k, eps_k)
-    branch_texts: tuple[tuple[str, str], ...]  # (description, anchor) per sign branch; () when post-selected
+    check_texts: tuple[tuple[str, str], ...]  # (description, anchor) per sign branch, or per claim when post-selected
     identities: tuple[Check | Callable[[StateVector], Check], ...]  # per row: its check, or a function of the state
     outcomes: tuple[tuple[tuple[float, ...], OutcomeAssignment], ...]  # each outcome tuple of ``measured``
 
@@ -419,6 +420,11 @@ def _branch_text(scenario: str, targets: list[Observable], eps: tuple[float, ...
     label = ",".join(f"{e:+g}" for e in eps)
     values = ", ".join(f"{target.label}={e:+g}" for target, e in zip(targets, eps))
     return f"branch ({label}): SERs {values} all certified", f"{scenario}:branch:{label}"
+
+
+def _claim_text(scenario: str, claim: SerClaim) -> tuple[str, str]:
+    """The description, before any failure detail, and the anchor of one post-selected claim's check."""
+    return f"certified SER {claim.describe()}", f"{scenario}:certainty:{claim.observable.label}"
 
 
 def _check_identity(scenario: str, row: Identity) -> Check | Callable[[StateVector], Check]:
@@ -458,22 +464,31 @@ def _build_fixed_part(scenario: str) -> _FixedPart:
     targets = [make() for make in spec.targets]
     post = spec.post_selection
     if post is None:
-        post_selection = None
+        post_selection, post_text = None, ""
         branches = [(eps, eps) for eps in _SIGN_BRANCHES]  # (measured outcomes, predicted values)
-        branch_texts = tuple(_branch_text(scenario, targets, eps) for eps in _SIGN_BRANCHES)
     else:
         post_selection = OutcomeAssignment([(obs, +1.0) for obs in measured])
+        post_text = f"post-selection probability P({post_selection.describe()}) = {post.text}"
         branches = [((+1.0, +1.0, +1.0), post.predicted)]
-        branch_texts = ()
     @cache  # a claim reads one outcome and one value: branches that agree on both hold one claim object
     def claim(k: int, given: float, value: float) -> SerClaim:
         return SerClaim(targets[k], value, OutcomeAssignment([(measured[k], given)]), {k + 1}, spec.target_regions[k])
 
     claims = tuple(claim(k, given[k], values[k]) for given, values in branches for k in range(len(targets)))
+    if post is None:
+        check_texts = tuple(_branch_text(scenario, targets, eps) for eps in _SIGN_BRANCHES)
+    else:
+        check_texts = tuple(map(partial(_claim_text, scenario), claims))
     identities = tuple(_check_identity(scenario, row) for row in spec.identities)
     tuples = itertools.product(*(o.eigenvalues() for o in measured))
     outcomes = tuple((tup, OutcomeAssignment(list(zip(measured, tup)))) for tup in tuples)
-    return _FixedPart(measured, post_selection, claims, branch_texts, identities, outcomes)
+    return _FixedPart(measured, post_selection, post_text, claims, check_texts, identities, outcomes)
+
+
+def _keeps_report(scenario: str, flip_claim: int | None) -> bool:
+    """Whether ``run_scenario`` keeps the report (and the CLI its JSON): a fixed state (no post-selection), no flip."""
+    spec = SCENARIO_TABLE.get(scenario)
+    return spec is not None and not spec.needs_params and flip_claim is None
 
 
 def run_scenario(
@@ -498,8 +513,7 @@ def run_scenario(
     per process, through ``spin._shared``; each call gets a new report
     holding its own ``checks`` and ``certified_claims`` lists.
     """
-    spec = SCENARIO_TABLE.get(scenario)
-    if spec is None or spec.needs_params or flip_claim is not None:
+    if not _keeps_report(scenario, flip_claim):
         return _run_scenario(scenario, params, flip_claim)
     report = _shared(_run_scenario, scenario)
     return replace(report, checks=list(report.checks), certified_claims=list(report.certified_claims))
@@ -518,8 +532,7 @@ def _run_scenario(scenario: str, params: PsiParams | None = None, flip_claim: in
         report.post_selection_probability = p_post
         report.checks.append(
             Check(
-                f"post-selection probability P({report.post_selection.describe()}) = {post.text}",
-                f"{scenario}:postselect", expected_post, p_post,
+                fixed.post_text, f"{scenario}:postselect", expected_post, p_post,
                 abs(p_post - expected_post), SCALAR_TOL * expected_post,  # relative: |a|^2 may be ~1e-12
             )
         )
@@ -533,13 +546,12 @@ def _run_scenario(scenario: str, params: PsiParams | None = None, flip_claim: in
     report.certified_claims = [(claim, verdicts[id(claim)]) for claim in claims]
 
     if post is not None:
-        for claim, cert in report.certified_claims:
+        for (claim, cert), fixed_claim, text in zip(report.certified_claims, fixed.claims, fixed.check_texts):
+            description, anchor = text if claim is fixed_claim else _claim_text(scenario, claim)  # a flipped claim
             detail = "" if cert.ok else f" [{cert.failed_clause}: {cert.detail}]"
-            anchor = f"{scenario}:certainty:{claim.observable.label}"
-            check = Check(f"certified SER {claim.describe()}{detail}", anchor, True, cert.ok, cert.miss, CERTAINTY_TOL)
-            report.checks.append(check)
+            report.checks.append(Check(description + detail, anchor, True, cert.ok, cert.miss, CERTAINTY_TOL))
     else:
-        for b, (description, anchor) in enumerate(fixed.branch_texts):
+        for b, (description, anchor) in enumerate(fixed.check_texts):
             certs = [cert for _, cert in report.certified_claims[3 * b : 3 * b + 3]]
             miss = max((cert.miss for cert in certs), key=lambda m: (m != m, m))  # a NaN miss is the largest
             report.checks.append(Check(description, anchor, True, all(certs), miss, CERTAINTY_TOL))

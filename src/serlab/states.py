@@ -46,7 +46,8 @@ class PsiParams:
 
 def psi_state(params: PsiParams) -> StateVector:
     """a(|+++> - |+-+> - |-++>) + b|--->, dimension 8."""
-    return StateVector(_ket({"+++": params.a, "+-+": -params.a, "-++": -params.a, "---": params.b}), normalize=True)
+    a, b = params.a, params.b  # at the basis indices 0 (+++), 2 (+-+), 4 (-++) and 7 (---)
+    return StateVector(np.array([a, 0, -a, 0, -a, 0, 0, b], dtype=complex), normalize=True)
 
 
 def hardy_state() -> StateVector:

@@ -15,12 +15,16 @@ import pytest
 
 from serlab import cli, measurement
 from serlab.cli import RunConfig, dumps, main, run_command
+from serlab.inference import SCENARIO_TABLE, SCENARIOS, run_scenario
+from serlab.states import PsiParams
 
 CHECK_FIELDS = {"description", "anchor", "expected", "computed", "pass"}
 TOP_FIELDS = {"scenario", "parameters", "seed", "checks", "sampling", "verdicts"}
 spin_module = importlib.import_module("serlab.spin")  # the package exports a function named spin
 _OFF_CONSTRAINT = "error: 3|a|^2+|b|^2 must equal 1 (off by 1.680e+00)"
 _MODULUS_ABOVE_ONE = "error: |a| and |b| must not exceed 1, as 3|a|^2+|b|^2 = 1"
+GHZ_SCENARIOS = [name for name in SCENARIOS if not SCENARIO_TABLE[name].needs_params]
+PSI_SCENARIOS = [name for name in SCENARIOS if SCENARIO_TABLE[name].needs_params]
 
 
 def _run(command, **kwargs):
@@ -402,3 +406,82 @@ def test_a_closed_stdout_exits_141_without_a_traceback(fmt):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def _counting_payloads(monkeypatch) -> list:
+    """Record the scenario of each report that ``cli.report_payload`` is called on from here on."""
+    built = []
+    payload = cli.report_payload
+
+    def counting(report):
+        built.append(report.scenario)
+        return payload(report)
+
+    monkeypatch.setattr(cli, "report_payload", counting)
+    return built
+
+
+def test_warm_verify_json_prints_the_kept_ghz_text(monkeypatch):
+    monkeypatch.setattr(spin_module, "_SHARED", {})
+    built = _counting_payloads(monkeypatch)
+    cold = run_verify(scenario="all", format="json")
+    assert cold[0] == 0 and sorted(built) == sorted(SCENARIOS)
+    # the joined texts are the bytes dumps gives for the list of payloads
+    params = PsiParams(0.5, 0.5)
+    reports = [run_scenario(name, params if name in PSI_SCENARIOS else None) for name in SCENARIOS]
+    assert cold[1] == dumps([cli.report_payload(report) for report in reports]) + "\n"
+
+    built.clear()
+    assert run_verify(scenario="all", format="json") == cold
+    assert built == PSI_SCENARIOS  # the GHZ texts are kept from the cold run
+    built.clear()
+    code, text = run_verify(scenario="bell-ghz", format="json")
+    assert (code, built) == (0, []) and json.loads(text) == json.loads(cold[1])[SCENARIOS.index("bell-ghz")]
+
+    monkeypatch.setattr(spin_module, "_SHARED", {})  # emptying the memo rebuilds the kept texts
+    built.clear()
+    assert run_verify(scenario="all", format="json") == cold and sorted(built) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario", GHZ_SCENARIOS)
+def test_a_flipped_ghz_json_run_between_unflipped_runs_prints_its_own_report(scenario, monkeypatch):
+    monkeypatch.setattr(spin_module, "_SHARED", {})
+    unflipped = run_verify(scenario=scenario, format="json")
+    assert unflipped[0] == 0 and all(check["pass"] for check in json.loads(unflipped[1])["checks"])
+    for k in (0, 13, 23):
+        code, text = run_verify(scenario=scenario, format="json", flip_claim=k)
+        failing = [check["anchor"] for check in json.loads(text)["checks"] if not check["pass"]]
+        assert code == 1 and len(failing) == 1 and f"{scenario}:branch:" in failing[0]
+        assert text == dumps(cli.report_payload(run_scenario(scenario, flip_claim=k))) + "\n"
+        assert run_verify(scenario=scenario, format="json") == unflipped
+
+
+def test_text_reports_are_rendered_from_the_reports(monkeypatch):
+    monkeypatch.setattr(spin_module, "_SHARED", {})
+    built = _counting_payloads(monkeypatch)
+    cold = run_verify(scenario="all")
+    assert cold[0] == 0 and built == []
+    for scenario in GHZ_SCENARIOS:  # warm the kept JSON texts, and run a flipped report between
+        run_verify(scenario=scenario, format="json")
+        assert run_verify(scenario=scenario, flip_claim=2)[0] == 1
+    built.clear()
+    assert run_verify(scenario="all") == cold and built == []
+    for scenario in GHZ_SCENARIOS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._render_text(run_scenario(scenario))
+        assert run_verify(scenario=scenario) == (0, out.getvalue())
+
+
+def test_verify_all_builds_the_psi_parameters_once(monkeypatch):
+    builds = []
+
+    def counting(a, b):
+        builds.append((a, b))
+        return PsiParams(a, b)
+
+    monkeypatch.setattr(cli, "PsiParams", counting)
+    assert run_verify(scenario="all", format="json")[0] == 0
+    assert builds == [(0.5 + 0j, 0.5 + 0j)]
+    builds.clear()
+    assert run_verify(scenario="epr-ghz")[0] == 0 and builds == []

@@ -599,6 +599,22 @@ def test_verify_certifies_each_distinct_claim_once(monkeypatch):
         assert fresh[0].predicted_value == -_part(scenario).claims[5].predicted_value
 
 
+@pytest.mark.parametrize("flip", [None, 0, 1, 2])
+@pytest.mark.parametrize("scenario", [name for name in SCENARIOS if SCENARIO_TABLE[name].needs_params])
+def test_claim_check_texts_follow_each_slots_own_claim(scenario, flip):
+    report = run_scenario(scenario, DEFAULT, flip_claim=flip)
+    post = SCENARIO_TABLE[scenario].post_selection
+    (postselect,) = [check for check in report.checks if check.anchor == f"{scenario}:postselect"]
+    assert postselect.description == f"post-selection probability P({report.post_selection.describe()}) = {post.text}"
+    checks = [check for check in report.checks if check.anchor.startswith(f"{scenario}:certainty:")]
+    assert len(checks) == len(report.certified_claims) == 3
+    for check, (claim, cert) in zip(checks, report.certified_claims):
+        detail = "" if cert.ok else f" [{cert.failed_clause}: {cert.detail}]"
+        assert check.description == f"certified SER {claim.describe()}{detail}"
+        assert check.anchor == f"{scenario}:certainty:{claim.observable.label}"
+    assert [cert.ok for _, cert in report.certified_claims] == [k != flip for k in range(3)]
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_certified_claims_keep_one_slot_per_branch_and_target(scenario):
     spec = SCENARIO_TABLE[scenario]
