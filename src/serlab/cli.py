@@ -18,8 +18,7 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper json.dumps(str) calls
 
 from .hilbert import _index
-from .inference import SCENARIO_TABLE, SCENARIOS, ScenarioReport, run_scenario, sample_scenario
-from .inference import _keeps_report, _outcome_text
+from .inference import SCENARIO_TABLE, SCENARIOS, ScenarioReport, _outcome_text, run_scenario, sample_scenario
 from .spin import _shared
 from .states import PsiParams
 
@@ -229,23 +228,30 @@ def _run_reports(command: str, config: RunConfig) -> list[ScenarioReport]:
         params = config.psi_params if SCENARIO_TABLE[name].needs_params else None
         if command == "sample":
             reports.append(sample_scenario(name, params, seed=config.seed, trials=config.trials))
+        elif _keeps_report(name, config.flip_claim):
+            reports.append(_shared(run_scenario, name))
         else:
             reports.append(run_scenario(name, params, flip_claim=config.flip_claim))
     return reports
 
 
+def _keeps_report(scenario: str, flip_claim: int | None) -> bool:
+    """Whether a ``verify`` report and its JSON are kept for the process: a fixed state (no post-selection), no flip."""
+    return not SCENARIO_TABLE[scenario].needs_params and flip_claim is None
+
+
 def _report_json(scenario: str) -> str:
-    """The JSON text of a report that ``run_scenario`` keeps; built through ``spin._shared``, so once per process."""
-    return dumps(report_payload(run_scenario(scenario)))
+    """The JSON text of a kept report; built through ``spin._shared``, so once per process."""
+    return dumps(report_payload(_shared(run_scenario, scenario)))
 
 
 def run_command(command: str, config: RunConfig) -> int:
     """Run ``verify`` (the analytic checks) or ``sample`` (Monte Carlo calibration) and report on stdout.
 
     Returns the exit code: 0 when every check passes, 1 when one fails (named
-    on stderr), 2 for an unknown command or a parameter error.  The JSON text
-    of a ``verify`` report that ``run_scenario`` keeps (an unflipped GHZ
-    scenario) is built once per process and printed as kept on every later run.
+    on stderr), 2 for an unknown command or a parameter error.  The report of
+    an unflipped GHZ ``verify`` and its JSON text are kept for the process and
+    reused as they are (see ``_keeps_report``): nothing here mutates a report.
     """
     try:
         reports = _run_reports(command, config)
@@ -269,7 +275,7 @@ def run_command(command: str, config: RunConfig) -> int:
     return 0
 
 
-def _add_common_options(parser: argparse.ArgumentParser, d: RunConfig) -> None:
+def _add_common_options(parser, d: RunConfig) -> None:
     parser.add_argument(
         "--scenario",
         choices=_SCENARIO_CHOICES,
@@ -284,7 +290,7 @@ def _add_common_options(parser: argparse.ArgumentParser, d: RunConfig) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The CLI parser, built on the first call (not at import) and reused for the life of the process."""
     import argparse  # here, so that importing the module does not load argparse
 

@@ -71,9 +71,10 @@ class StateVector:
     def __init__(self, amplitudes, *, normalize: bool = False):
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
         _check_dim(amps.size, "state")
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # a norm past the float range reads inf and is refused below
+            norm = float(np.linalg.norm(amps))
+        if not np.isfinite(norm):  # a non-finite amplitude gives a non-finite norm too
+            raise ValueError("amplitudes and their norm must be finite")
         if norm < SCALAR_TOL:
             raise ValueError("state vector must be nonzero")
         if normalize:
@@ -175,7 +176,7 @@ class Observable:
         deviation = float(np.max(np.abs(mat - mat.conj().T)))
         if deviation > EXACT_ENTRY_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
-        mat = (mat + mat.conj().T) / 2
+        mat = mat / 2 + mat.conj().T / 2  # halving first cannot overflow; in range it is exact
         mat.setflags(write=False)
         self._matrix = mat
         self._label = label

@@ -485,12 +485,6 @@ def _build_fixed_part(scenario: str) -> _FixedPart:
     return _FixedPart(measured, post_selection, post_text, claims, check_texts, identities, outcomes)
 
 
-def _keeps_report(scenario: str, flip_claim: int | None) -> bool:
-    """Whether ``run_scenario`` keeps the report (and the CLI its JSON): a fixed state (no post-selection), no flip."""
-    spec = SCENARIO_TABLE.get(scenario)
-    return spec is not None and not spec.needs_params and flip_claim is None
-
-
 def run_scenario(
     scenario: str,
     params: PsiParams | None = None,
@@ -509,17 +503,8 @@ def run_scenario(
     a flipped claim replaces one entry of a copy of the claim list.  Each
     distinct claim object is certified once per run, so a claim shared by
     four GHZ branches is judged once and a flip reaches its own slot only.
-    A GHZ scenario's state is fixed, so its unflipped report is built once
-    per process, through ``spin._shared``; each call gets a new report
-    holding its own ``checks`` and ``certified_claims`` lists.
+    Every call certifies afresh and returns a new report.
     """
-    if not _keeps_report(scenario, flip_claim):
-        return _run_scenario(scenario, params, flip_claim)
-    report = _shared(_run_scenario, scenario)
-    return replace(report, checks=list(report.checks), certified_claims=list(report.certified_claims))
-
-
-def _run_scenario(scenario: str, params: PsiParams | None = None, flip_claim: int | None = None) -> ScenarioReport:
     spec, state, params = _prepare(scenario, params)
     fixed = _shared(_build_fixed_part, scenario)
     report = ScenarioReport(scenario=scenario, parameters=params)

@@ -456,6 +456,20 @@ def test_a_flipped_ghz_json_run_between_unflipped_runs_prints_its_own_report(sce
         assert run_verify(scenario=scenario, format="json") == unflipped
 
 
+@pytest.mark.parametrize("scenario", GHZ_SCENARIOS)
+def test_the_kept_ghz_report_is_unchanged_by_later_runs(scenario, monkeypatch):
+    monkeypatch.setattr(spin_module, "_SHARED", {})
+    (kept,) = cli._run_reports("verify", RunConfig(scenario=scenario))
+    for fmt in ("text", "json"):  # warm runs that print the kept report, with flipped runs between them
+        for flip in (None, 3, None, 17):
+            assert run_verify(scenario=scenario, format=fmt, flip_claim=flip)[0] == (flip is not None)
+        assert run_verify(scenario="all", format=fmt)[0] == 0
+    (again,) = cli._run_reports("verify", RunConfig(scenario=scenario))
+    fresh = run_scenario(scenario)
+    assert again is kept and fresh is not kept
+    assert kept.checks == fresh.checks and kept.certified_claims == fresh.certified_claims
+
+
 def test_text_reports_are_rendered_from_the_reports(monkeypatch):
     monkeypatch.setattr(spin_module, "_SHARED", {})
     built = _counting_payloads(monkeypatch)

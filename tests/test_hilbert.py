@@ -72,6 +72,23 @@ def test_state_vector_rejects_nan_amplitude():
             StateVector([np.nan, 0.0], normalize=normalize)
 
 
+def test_normalising_refuses_a_norm_past_the_float_range():
+    # the norm 2.8e308 overflowed to inf, and amplitudes / inf stored the zero vector
+    with pytest.raises(ValueError, match="norm must be finite"):
+        StateVector([1e308] * 8, normalize=True)
+    # well inside the float range the same direction is accepted
+    assert np.allclose(StateVector([1e150] * 8, normalize=True).amplitudes, 8**-0.5)
+
+
+def test_observable_with_entries_near_the_float_maximum_keeps_them():
+    # symmetrising as (mat + mat^H) / 2 overflowed the sum to inf and stored inf+nanj entries
+    entries = [[1e308, 1e308], [1e308, 1e308]]
+    assert np.array_equal(Observable(entries).matrix, entries)
+    op = Observable([[1e308, 1e307j], [-1e307j, 1e308]])
+    assert np.allclose(op.eigenvalues(), (0.9e308, 1.1e308), rtol=1e-12, atol=0.0)
+    assert np.allclose(sum(op.spectral().projectors), np.eye(2))
+
+
 def test_observable_rejects_nan_entry():
     with pytest.raises(ValueError, match="finite"):
         Observable([[np.nan, 0.0], [0.0, 1.0]])

@@ -586,7 +586,7 @@ def test_verify_certifies_each_distinct_claim_once(monkeypatch):
 
     judged.clear()
     assert _cli(argv) == cold
-    # the GHZ reports are kept from the cold run, so only the psi family's 6 claims are certified again
+    # the CLI keeps the GHZ reports from the cold run, so only the psi family's 6 claims are certified again
     psi = [claim for name in SCENARIOS if SCENARIO_TABLE[name].needs_params for claim in _part(name).claims]
     assert [id(claim) for claim in judged] == [id(claim) for claim in psi] and len(psi) == 6
 
@@ -597,6 +597,17 @@ def test_verify_certifies_each_distinct_claim_once(monkeypatch):
         fresh = [claim for claim in judged if id(claim) not in shared]
         assert len(judged) == 7 and len(shared) == 6 and len(fresh) == 1
         assert fresh[0].predicted_value == -_part(scenario).claims[5].predicted_value
+
+
+@pytest.mark.parametrize("scenario", GHZ_SCENARIOS)
+def test_warm_ghz_runs_certify_their_claims_on_every_call(scenario, monkeypatch):
+    cold = run_scenario(scenario)
+    judged = _counting_certify(monkeypatch)
+    for _ in range(3):  # the library keeps no report: each call certifies the 6 distinct claims afresh
+        judged.clear()
+        report = run_scenario(scenario)
+        assert len(judged) == len({id(claim) for claim in judged}) == 6
+        assert report.checks == cold.checks and report is not cold
 
 
 @pytest.mark.parametrize("flip", [None, 0, 1, 2])
@@ -686,7 +697,7 @@ def test_threads_racing_on_first_runs_share_one_part(monkeypatch):
         for report, first in zip(other, results[0]):
             assert all(a is b for (a, _), (b, _) in zip(report.certified_claims, first.certified_claims))
             assert report.checks == first.checks
-            # a GHZ report is built once, but each call holds lists of its own
+            # every call builds a report of its own, with lists of its own
             assert report.checks is not first.checks and report.certified_claims is not first.certified_claims
     assert all(report.passed() for report in results[0])
 

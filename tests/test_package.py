@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import serlab
@@ -20,6 +21,22 @@ def test_package_reexports_each_module_all():
         for name in module.__all__:
             assert getattr(serlab, name) is getattr(module, name)
     assert serlab.spin is modules[1].spin  # the function, not the submodule of the same name
+
+
+def test_every_annotation_resolves():
+    # an annotation naming a module the function imports only inside its body made get_type_hints raise NameError
+    for short in (*LIBRARY_MODULES, "cli"):
+        module = importlib.import_module(f"serlab.{short}")
+        own = [obj for obj in vars(module).values() if getattr(obj, "__module__", None) == module.__name__]
+        functions = [inspect.unwrap(obj) for obj in own if callable(obj) and not inspect.isclass(obj)]
+        for cls in filter(inspect.isclass, own):
+            for attr in vars(cls).values():
+                attr = getattr(attr, "fget", None) or getattr(attr, "func", None) or getattr(attr, "__func__", attr)
+                if inspect.isfunction(attr) and attr.__globals__ is vars(module):  # not a generated method
+                    functions.append(attr)
+        assert len(functions) > 3, short
+        for fn in functions:
+            typing.get_type_hints(fn)  # raises NameError on a name the module does not hold
 
 
 def test_import_loads_the_library_modules_and_not_the_cli():
