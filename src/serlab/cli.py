@@ -14,7 +14,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper json.dumps(str) calls
 
 from .hilbert import _index
@@ -24,7 +24,6 @@ from .states import PsiParams
 
 __all__ = ["RunConfig", "run_command", "main"]
 
-_FLOAT_OPTIONS = {"--a-re", "--a-im", "--b-re", "--b-im"}
 _SCENARIO_CHOICES = (*SCENARIOS, "all")
 _FORMATS = ("text", "json")
 
@@ -275,47 +274,62 @@ def run_command(command: str, config: RunConfig) -> int:
     return 0
 
 
-def _add_common_options(parser, d: RunConfig) -> None:
-    parser.add_argument(
-        "--scenario",
-        choices=_SCENARIO_CHOICES,
-        default=d.scenario,
-        help=f"which scenario to run (default: {d.scenario})",
-    )
-    parser.add_argument("--a-re", type=float, default=d.a_re, help=f"Re(a) for the psi family (default {d.a_re:g})")
-    parser.add_argument("--a-im", type=float, default=d.a_im, help=f"Im(a) (default {d.a_im:g})")
-    parser.add_argument("--b-re", type=float, default=d.b_re, help=f"Re(b) (default {d.b_re:g})")
-    parser.add_argument("--b-im", type=float, default=d.b_im, help=f"Im(b) (default {d.b_im:g})")
-    parser.add_argument("--format", choices=_FORMATS, default=d.format, help="report format")
+_OPTIONS = {  # the one list of the CLI's flags: RunConfig field, type, choices, commands, metavar, help ("{}": default)
+    "--scenario": ("scenario", str, _SCENARIO_CHOICES, "verify sample", None, "which scenario to run (default: {})"),
+    "--a-re": ("a_re", float, None, "verify sample", None, "Re(a) for the psi family (default {:g})"),
+    "--a-im": ("a_im", float, None, "verify sample", None, "Im(a) (default {:g})"),
+    "--b-re": ("b_re", float, None, "verify sample", None, "Re(b) (default {:g})"),
+    "--b-im": ("b_im", float, None, "verify sample", None, "Im(b) (default {:g})"),
+    "--format": ("format", str, _FORMATS, "verify sample", None, "report format"),
+    "--flip-claim": ("flip_claim", int, None, "verify", "N", "negate the Nth inferred value before certification"
+                     " (fault-injection self-test)"),
+    "--trials": ("trials", int, None, "sample", None, "Monte Carlo trials (default {})"),
+    "--seed": ("seed", int, None, "sample", None, "sampling seed (default {})"),
+}
+_FLOAT_OPTIONS = {flag for flag, (_, kind, *_) in _OPTIONS.items() if kind is float}
 
 
 @functools.cache
 def build_parser():
-    """The CLI parser, built on the first call (not at import) and reused for the life of the process."""
+    """The parser of ``_OPTIONS``, built once per process, and only for help or a line ``_scan`` declines."""
     import argparse  # here, so that importing the module does not load argparse
 
-    parser = argparse.ArgumentParser(
-        prog="serlab",
-        description="Verify certain-value inference arguments on three-qubit entangled states.",
-    )
+    description = "Verify certain-value inference arguments on three-qubit entangled states."
+    parser = argparse.ArgumentParser(prog="serlab", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-    d = RunConfig()  # the one source of every default
-
-    verify = sub.add_parser("verify", help="run the analytic checks of a scenario")
-    _add_common_options(verify, d)
-    verify.add_argument(
-        "--flip-claim",
-        type=int,
-        default=None,
-        metavar="N",
-        help="negate the Nth inferred value before certification (fault-injection self-test)",
-    )
-
-    sample = sub.add_parser("sample", help="run the scenario's seeded Monte Carlo measurements")
-    _add_common_options(sample, d)
-    sample.add_argument("--trials", type=int, default=d.trials, help=f"Monte Carlo trials (default {d.trials})")
-    sample.add_argument("--seed", type=int, default=d.seed, help=f"sampling seed (default {d.seed})")
+    sub.add_parser("verify", help="run the analytic checks of a scenario")
+    sub.add_parser("sample", help="run the scenario's seeded Monte Carlo measurements")
+    for flag, (field, kind, choices, commands, metavar, text) in _OPTIONS.items():
+        for command in commands.split():  # RunConfig's defaults are the parser's
+            options = dict(dest=field, type=kind, choices=choices, default=getattr(RunConfig, field), metavar=metavar)
+            sub.choices[command].add_argument(flag, **options, help=text.format(options["default"]))
     return parser
+
+
+def _scan(argv: list[str]) -> dict | None:
+    """The command and given ``RunConfig`` fields of a well-formed command line, or None to leave it to argparse.
+
+    It reads only the command's flags in full, ``--flag=value`` or ``--flag value`` with a value not led by ``-``,
+    converted and checked as argparse does (the last of a repeated flag wins), and declines all else without a word.
+    """
+    if not argv or argv[0] not in ("verify", "sample"):
+        return None
+    given, tokens = {"command": argv[0]}, iter(argv[1:])
+    for token in tokens:
+        flag, attached, value = token.partition("=")
+        if not attached:
+            value = next(tokens, "-")  # a missing value is declined as a dash-led one is
+        spec = _OPTIONS.get(flag)
+        if spec is None or argv[0] not in spec[3].split() or not attached and value.startswith("-"):
+            return None
+        field, kind, choices, *_ = spec
+        try:
+            given[field] = kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:  # a choice's type is str, so its value is the token
+            return None
+    return given
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -343,15 +357,16 @@ def _is_float(text: str) -> bool:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
+    given = _scan(argv) or vars(build_parser().parse_args(argv))  # argparse writes help and usage errors
+    command = given.pop("command")
     try:
-        # an option the subcommand lacks (--flip-claim for sample; --trials, --seed for verify) keeps its default
-        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
+        config = RunConfig(**given)  # a field no flag gave (--trials for verify, say) keeps its default
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        code = run_command(args.command, config)
+        code = run_command(command, config)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; point it at the null device so the flush at exit does not raise again

@@ -348,23 +348,44 @@ def test_second_verify_builds_no_projector_and_no_parser(monkeypatch, capsys):
     argv = ["verify", "--scenario", "all", "--format", "json"]
     assert main(argv) == 0
     first = projector_builds
-    assert first > 0 and cli.build_parser.cache_info().misses == 1
+    assert first > 0 and cli.build_parser.cache_info().misses == 0
     assert main(argv) == 0
-    assert projector_builds == first and cli.build_parser.cache_info().misses == 1
+    assert projector_builds == first and cli.build_parser.cache_info().misses == 0
 
 
 def test_import_leaves_argparse_unloaded_until_the_first_main():
+    # a well-formed command line is read from the option table; only a usage error loads argparse
     code = (
         "import sys, serlab.cli; print('argparse' in sys.modules); "
         "code = serlab.cli.main(['verify', '--scenario', 'epr-ghz', '--format', 'json']); "
-        "print('argparse' in sys.modules, code)"
+        "print('argparse' in sys.modules, code); "
+        "code = serlab.cli.main(['verify', '--scenario', 'nope'])"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (out.returncode, out.stderr) == (0, "")
+    assert out.returncode == 2
+    assert out.stderr.splitlines()[-1].startswith("serlab verify: error: argument --scenario: invalid choice: 'nope'")
     lines = out.stdout.splitlines()
-    assert lines[0] == "False" and lines[-1] == "True 0"
+    assert lines[0] == "False" and lines[-1] == "False 0"
     assert json.loads("\n".join(lines[1:-1]))["scenario"] == "epr-ghz"
+
+
+def test_every_benchmark_argv_shape_is_read_without_building_the_parser(monkeypatch, capsys):
+    # the four argv shapes the benchmark's ops build: verify all, a flip, a psi sample and a GHZ sample
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "serbench"))
+    from workloads import Op, draw_amplitudes
+
+    a, b = draw_amplitudes(np.random.default_rng(5))
+    assert min(a.real, a.imag, b.real, b.imag) < 0  # so a dash-led value is among them
+    ops = [
+        Op("verify", "all", a, b),
+        *(Op("flip", scenario, a, b, flip=2) for scenario in SCENARIOS),
+        *(Op("sample", scenario, a, b, seed=7, trials=1000) for scenario in SCENARIOS),
+    ]
+    cli.build_parser.cache_clear()
+    for op in ops:
+        assert main(op.argv()) == (1 if op.kind == "flip" else 0), op.argv()
+    assert cli.build_parser.cache_info().misses == 0
 
 
 @pytest.mark.parametrize(

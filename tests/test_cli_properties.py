@@ -12,10 +12,11 @@ import json
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from serlab.cli import dumps, main
+from serlab import cli
+from serlab.cli import RunConfig, dumps, main
 from serlab.hilbert import SCALAR_TOL
 from serlab.inference import SCENARIOS
 
@@ -105,6 +106,60 @@ def test_non_finite_amplitude_exits_2(command, scenario, flag, value, attached):
     code, out, err = run([command, "--scenario", scenario, *option, "--format", "json"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- the option scanner against argparse --------------------------------------------
+
+SCAN_FLAGS = [*cli._OPTIONS, "--scen", "--a", "--tolerance", "-h", "--"]  # --trials is foreign to verify
+SCAN_SPECIALS = ["nan", "-inf", "1e300", "-8e-05", "1_0", "0x10", "", " 5 ", "-1", "+1", "9" * 5000]
+# "=" and " " join a flag of the command's own to a value of its type; "odd" ones take any flag and a special value
+SCAN_JOINTS = ["=", " ", "=", " ", "=", " ", "odd=", "odd ", "odd alone"]
+
+
+def _command_line(command, items):
+    """``command``, then each flag alone, as ``--flag=value`` or as ``--flag value``."""
+    own = [flag for flag, spec in cli._OPTIONS.items() if command in spec[3].split()] or SCAN_FLAGS
+    argv = [command]
+    for joint, pick, number in items:
+        flag = SCAN_FLAGS[pick % len(SCAN_FLAGS)] if "odd" in joint else own[pick % len(own)]
+        _, kind, choices, *_ = cli._OPTIONS.get(flag, (None, None, None))
+        value = SCAN_SPECIALS[pick % len(SCAN_SPECIALS)]
+        if "odd" not in joint and kind is not None:
+            value = choices[pick % len(choices)] if choices else repr(number) if kind is float else str(pick - 3)
+        argv += [flag] if "alone" in joint else [f"{flag}={value}"] if "=" in joint else [flag, value]
+    return argv
+
+
+COMMAND_LINES = st.builds(
+    _command_line,
+    st.sampled_from(["verify", "sample", "verify", "sample", "bogus", "-h"]),
+    st.lists(st.tuples(st.sampled_from(SCAN_JOINTS), st.integers(0, 99), st.floats()), max_size=4),
+)
+
+
+def _config(given):
+    try:
+        return repr(RunConfig(**given))  # repr, so that a NaN field equals a NaN field
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@settings(max_examples=100)
+@given(COMMAND_LINES, st.booleans())
+@example(["verify", "--b-im", "-8e-05"], False)  # for argparse a flag without a value, then an unknown one
+@example(["sample", "--format", "1e300"], False)  # not a choice
+def test_scan_reads_a_command_line_as_argparse_does_or_declines_it(argv, attach):
+    # raw argv too, not only what main passes on: --a-re -8e-05 is for argparse a flag with no value
+    argv = cli._attach_negative_values(argv) if attach else argv
+    scanned = cli._scan(argv)
+    if scanned is None:
+        return
+    try:
+        parsed = vars(cli.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        raise AssertionError(f"argparse exits {exc.code} on {argv!r}, which the scanner read as {scanned!r}") from None
+    assert scanned.pop("command") == parsed.pop("command")
+    assert _config(scanned) == _config(parsed)
 
 
 # --- the JSON emitter ---------------------------------------------------------------
