@@ -5,17 +5,16 @@ check is named on stderr), 2 for usage or parameter errors, 141 when stdout is
 closed before the report is written.
 
 JSON reports are byte-identical for identical configuration (including seed):
-numbers are serialized with 17 significant digits and field order is fixed.
+field order is fixed and floats are written at their shortest round-trip repr.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import json
 import os
 import sys
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote  # the C escaper json.dumps(str) calls
 
 from .hilbert import _index
 from .inference import SCENARIO_TABLE, SCENARIOS, ScenarioReport, _outcome_text, run_scenario, sample_scenario
@@ -68,46 +67,16 @@ class RunConfig:
         return PsiParams(complex(self.a_re, self.a_im), complex(self.b_re, self.b_im))
 
 
-# --- deterministic JSON ----------------------------------------------------
+# --- JSON ------------------------------------------------------------------
 
 
 def dumps(value) -> str:
-    """``value`` as JSON: fields in insertion order, floats to 17 significant digits, non-finite floats refused."""
-    out: list[str] = []
-    _emit(value, out)
-    return "".join(out)
+    """``value`` as compact JSON: fields in insertion order, floats at shortest round-trip repr, NaN and inf refused.
 
-
-def _emit(value, out: list[str]) -> None:
-    """Append the JSON pieces of ``value`` to ``out``; ``dumps`` joins them once."""
-    if value is None:
-        out.append("null")
-    elif value is True or value is False:
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite float {value}")
-        out.append(format(float(value), ".17g"))
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, dict):
-        sep = "{"  # what goes before the next member: the opening brace, then commas
-        for key, item in value.items():
-            out.append(f"{sep}{_quote(str(key))}:")
-            _emit(item, out)
-            sep = ","
-        out.append("{}" if sep == "{" else "}")
-    elif isinstance(value, (list, tuple)):
-        sep = "["
-        for item in value:
-            out.append(sep)
-            _emit(item, out)
-            sep = ","
-        out.append("[]" if sep == "[" else "]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+    A non-finite float raises ``ValueError`` and a value of any other type than the report's (dict, list, tuple,
+    str, int, float, bool, None) raises ``TypeError``, both from the stdlib encoder.
+    """
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
 # --- report payloads --------------------------------------------------------

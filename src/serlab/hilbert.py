@@ -142,16 +142,19 @@ class SpectralDecomposition(NamedTuple):
 
 def _spectral_decomposition(matrix: np.ndarray) -> SpectralDecomposition:
     evals, vecs = np.linalg.eigh(matrix)
+    if not np.isfinite(evals).all():
+        raise ValueError(f"operator eigenvalues must be finite, got {tuple(evals.tolist())}")
     values: list[float] = []
     projectors: list[np.ndarray] = []
     start = 0
     for stop in range(1, len(evals) + 1):
-        if stop == len(evals) or evals[stop] - evals[stop - 1] > EIGENVALUE_TOL:
+        # a gap as evals[stop] - evals[stop - 1] overflows when the eigenvalues span more than the float range
+        if stop == len(evals) or evals[stop] - EIGENVALUE_TOL > evals[stop - 1]:
             block = vecs[:, start:stop]
             proj = block @ block.conj().T
             proj = (proj + proj.conj().T) / 2
             proj.setflags(write=False)
-            values.append(float(np.mean(evals[start:stop])))
+            values.append(float(np.mean(evals[start:stop] / 2)) * 2)  # the mean of halves: no overflowing sum
             projectors.append(proj)
             start = stop
     return SpectralDecomposition(tuple(values), tuple(projectors))

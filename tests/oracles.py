@@ -4,13 +4,12 @@ These deliberately avoid the library's projector-product route: joint
 probabilities are computed by expanding the state in an explicit joint
 eigenbasis (built by recursive eigenspace refinement) and summing squared
 amplitudes.  The seeded draws of random test inputs live here too, and a
-reference JSON emitter for the CLI's byte-deterministic output.
+hand-written reference for the CLI's compact JSON text.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import math
 
 import numpy as np
@@ -140,22 +139,63 @@ def joint_sample_outcomes(
     return [rows[bisect.bisect_right(thresholds, u)][0] for u in uniforms]
 
 
-def reference_dumps(value) -> str:
-    """The CLI's JSON emitter as nested joins: same type precedence, 17-digit floats and error messages."""
+
+_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _reference_string(text: str) -> str:
+    """ASCII-only JSON string: short escapes, printable ASCII as is, the rest as UTF-16 ``\\uXXXX`` units."""
+    parts = []
+    for char in text:
+        code = ord(char)
+        if char in _SHORT_ESCAPES:
+            parts.append(_SHORT_ESCAPES[char])
+        elif 0x20 <= code < 0x7F:
+            parts.append(char)
+        elif code > 0xFFFF:
+            code -= 0x10000
+            parts.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+        else:
+            parts.append(f"\\u{code:04x}")
+    return '"' + "".join(parts) + '"'
+
+
+def _reference_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)  # shortest round-trip text, also for a float subclass such as np.float64
+
+
+def _reference_key(key) -> str:
+    if isinstance(key, str):
+        return _reference_string(key)
+    if key is None or key is True or key is False:
+        return f'"{reference_json(key)}"'
+    if isinstance(key, int):
+        return f'"{int.__repr__(key)}"'
+    if isinstance(key, float):
+        return f'"{_reference_float(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def reference_json(value) -> str:
+    """JSON text with no spaces that refuses NaN and infinities, as nested joins.
+
+    Type precedence, key conversion and refusal messages follow the stdlib
+    encoder; the first refused leaf, in the order the text is written, raises.
+    """
     if value is None:
         return "null"
     if value is True or value is False:
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite float {value}")
-        return format(float(value), ".17g")
     if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(str(key))}:{reference_dumps(item)}" for key, item in value.items()) + "}"
+        return _reference_string(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _reference_float(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(map(reference_dumps, value)) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        return "[" + ",".join(map(reference_json, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{_reference_key(key)}:{reference_json(item)}" for key, item in value.items()) + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

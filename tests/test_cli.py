@@ -150,9 +150,11 @@ def test_json_floats_roundtrip():
         ([[1, [2, []]], [None]], "[[1,[2,[]]],[null]]"),
         ([True, False, 0, 1], "[true,false,0,1]"),
         ({"a": {"b": [True]}, 3: "x\"y"}, '{"a":{"b":[true]},"3":"x\\"y"}'),
-        (-0.0, "-0"),
-        (1e-05, "1.0000000000000001e-05"),
-        (0.1, "0.10000000000000001"),
+        ("\u00e9\u2028\U0001f600", '"\\u00e9\\u2028\\ud83d\\ude00"'),  # everything past ASCII as escapes
+        (-0.0, "-0.0"),
+        (1.0, "1.0"),
+        (1e-05, "1e-05"),
+        (0.1, "0.1"),
         (1e22, "1e+22"),
     ],
 )
@@ -172,7 +174,7 @@ def test_dumps_edge_values(value, text):
     ],
 )
 def test_dumps_rejects_non_finite_and_unsupported_values(value, error):
-    with pytest.raises(error, match="cannot serialize"):
+    with pytest.raises(error):  # the stdlib encoder's refusals, with its messages
         dumps(value)
 
 

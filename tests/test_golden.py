@@ -1,5 +1,6 @@
 """Golden outputs, recorded in README.md: the sha256 of two JSON reports, one text report,
-each demo's stdout and a corpus of CLI runs.
+each demo's stdout and a corpus of CLI runs.  The two JSON reports are committed under
+``tests/golden/`` as well, so a change to them names the values that changed.
 
 Any refactor must leave these bytes unchanged; a change to them is a change
 of behaviour and has to be made, and recorded in README.md, on purpose.
@@ -9,6 +10,8 @@ import contextlib
 import hashlib
 import importlib
 import io
+import json
+import math
 import pathlib
 import re
 import runpy
@@ -17,19 +20,45 @@ import pytest
 
 from serlab.cli import main
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+REPORTS = ROOT / "tests" / "golden"
 GOLDEN = {
-    "ad8b85ed6cbf654cba93d5dc229d8277ae98754d5e1ef17e0196e595e4edbf7b": (
+    "c285be5d15dd1bd81b341fd00758a231a2a92b84f0f1fea1cf383f5c6a867c13": (
         "verify --scenario all --format json"
     ),
-    "91d7e239fcc97fdb0f62e2432aaabad7ecfd8598c2c754b7050be24cc1c5c7c1": (
+    "9d7970ef2dda5bddbe53290c56ace3f04b0223f9a242b98ac9d133670ecc0014": (
         "sample --scenario all --seed 0 --trials 100000 --format json"
     ),
     "2d6e3a88f1e2a5b35d5b62d35a39fab35c9e158321d7823d082eb8da288e2903": "verify --scenario all",
 }
 
 
+def value_changes(expected, got, path="") -> list[str]:
+    """Each JSON path at which two parsed values differ, as ``path: expected → got``.
+
+    Numbers compare as the doubles they denote, so ``1`` and ``1.0`` are one value and ``0`` and ``-0.0`` are two.
+    """
+    if isinstance(expected, dict) and isinstance(got, dict) and list(expected) == list(got):
+        return [change for key in expected for change in value_changes(expected[key], got[key], f"{path}.{key}")]
+    if isinstance(expected, list) and isinstance(got, list) and len(expected) == len(got):
+        pairs = enumerate(zip(expected, got))
+        return [change for i, (e, g) in pairs for change in value_changes(e, g, f"{path}[{i}]")]
+    if _is_number(expected) and _is_number(got):
+        same = expected == got and math.copysign(1.0, expected) == math.copysign(1.0, got)
+    else:
+        same = type(expected) is type(got) and expected == got
+    return [] if same else [f"{path or '(top level)'}: {json.dumps(expected)} → {json.dumps(got)}"]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @pytest.mark.parametrize("digest, command", GOLDEN.items(), ids=["verify", "sample", "verify-text"])
 def test_golden_output(digest, command, monkeypatch):
+    report = REPORTS / f"{command.split()[0]}.json"  # the bytes of a JSON report, committed
+    golden = report.read_text() if command.endswith("--format json") else None
+    assert golden is None or hashlib.sha256(golden.encode()).hexdigest() == digest
     # a cold run builds every shared part and the GHZ reports; the warm run after it reads them
     monkeypatch.setattr(importlib.import_module("serlab.spin"), "_SHARED", {})
     for _ in ("cold", "warm"):
@@ -37,10 +66,12 @@ def test_golden_output(digest, command, monkeypatch):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(command.split())
         assert (code, err.getvalue()) == (0, "")
+        if golden is not None and out.getvalue() != golden:
+            changes = value_changes(json.loads(golden), json.loads(out.getvalue())) or ["no parsed value changed"]
+            pytest.fail("\n".join([f"the bytes of {report.name} changed:", *changes]))
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 DEMO_DIGESTS = {
     "01_certainty_chain": "ff7b3dee13d403286347b39bf5487788ddac7d0bb45db5345942621e6aa6f8d8",
@@ -82,7 +113,7 @@ def _corpus() -> list[list[str]]:
     return corpus
 
 
-CORPUS_DIGEST = "a78e56eeac822d303432325f875057d7f14cdcbbf77d3f4fe0407b0a2df371cc"
+CORPUS_DIGEST = "da2907518ed706d3ed35483be7d85d32b0015dff45df968efdf4f6df0ed8e30f"
 
 
 def test_cli_corpus(monkeypatch):

@@ -89,6 +89,23 @@ def test_observable_with_entries_near_the_float_maximum_keeps_them():
     assert np.allclose(sum(op.spectral().projectors), np.eye(2))
 
 
+def test_eigenvalues_spanning_more_than_the_float_range_are_split_without_overflow():
+    # the gap between the eigenvalues +-1.41e308 overflowed to inf in the clustering subtraction
+    assert np.allclose(Observable([[1e308, 1e308], [1e308, -1e308]]).eigenvalues(), (-2**0.5 * 1e308, 2**0.5 * 1e308))
+
+
+def test_a_degenerate_eigenvalue_near_the_float_maximum_keeps_its_value():
+    # the mean of a two-fold eigenvalue 1.4e308 summed the pair to inf first
+    assert Observable([[1.4e308, 0.0], [0.0, 1.4e308]]).eigenvalues() == (1.4e308,)
+
+
+def test_an_eigenvalue_past_the_float_range_is_refused():
+    # the eigenvalue 2e308 came back as inf and was kept as the spectrum (0.0, inf)
+    op = Observable([[1e308, 1e308], [1e308, 1e308]])
+    with pytest.raises(ValueError, match=r"^operator eigenvalues must be finite, got \(0\.0, inf\)$"):
+        op.eigenvalues()
+
+
 def test_observable_rejects_nan_entry():
     with pytest.raises(ValueError, match="finite"):
         Observable([[np.nan, 0.0], [0.0, 1.0]])
