@@ -250,8 +250,8 @@ _OPTIONS = {  # the one list of the CLI's flags: RunConfig field, type, choices,
     "--b-re": ("b_re", float, None, "verify sample", None, "Re(b) (default {:g})"),
     "--b-im": ("b_im", float, None, "verify sample", None, "Im(b) (default {:g})"),
     "--format": ("format", str, _FORMATS, "verify sample", None, "report format"),
-    "--flip-claim": ("flip_claim", int, None, "verify", "N", "negate the Nth inferred value before certification"
-                     " (fault-injection self-test)"),
+    "--flip-claim": ("flip_claim", int, None, "verify", "N", "move the Nth inferred value to another eigenvalue of"
+                     " its observable before certification (fault-injection self-test)"),
     "--trials": ("trials", int, None, "sample", None, "Monte Carlo trials (default {})"),
     "--seed": ("seed", int, None, "sample", None, "sampling seed (default {})"),
 }

@@ -36,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial, reduce
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -389,8 +389,8 @@ def _prepare(scenario: str, params: PsiParams | None) -> tuple[Scenario, StateVe
     return spec, psi_state(params), params
 
 
-def _flip(claims: list[SerClaim], which: int) -> None:
-    """Replace the predicted value of one claim by a different eigenvalue (fault injection)."""
+def _flip(claims: list[SerClaim], which: int) -> int:
+    """Replace the predicted value of one claim by a different eigenvalue (fault injection); return its index."""
     which = _index(which)
     if not 0 <= which < len(claims):
         raise ValueError(f"flip index {which} out of range; scenario emits {len(claims)} claims")
@@ -401,6 +401,7 @@ def _flip(claims: list[SerClaim], which: int) -> None:
     if not others:
         raise ValueError("observable has a single eigenvalue; nothing to flip to")
     claims[which] = replace(claim, predicted_value=others[0])
+    return which
 
 
 class _FixedPart(NamedTuple):
@@ -409,22 +410,22 @@ class _FixedPart(NamedTuple):
     measured: tuple[Observable, ...]
     post_selection: OutcomeAssignment | None
     post_text: str  # the post-selection check's description; "" when not post-selected
-    claims: tuple[SerClaim, ...]  # unflipped, in report order; a GHZ claim fills the 4 slots of its (k, eps_k)
-    check_texts: tuple[tuple[str, str], ...]  # (description, anchor) per sign branch, or per claim when post-selected
+    claims: tuple[SerClaim, ...]  # unflipped, in report order; a GHZ claim fills the 4 places of its (k, eps_k)
+    check_texts: tuple[tuple[str, str], ...]  # _slot_text per slot: a sign branch's 3 claims, or 1 when post-selected
     identities: tuple[Check | Callable[[StateVector], Check], ...]  # per row: its check, or a function of the state
     outcomes: tuple[tuple[tuple[float, ...], OutcomeAssignment], ...]  # each outcome tuple of ``measured``
 
 
-def _branch_text(scenario: str, targets: list[Observable], eps: tuple[float, ...]) -> tuple[str, str]:
-    """The description and anchor of one sign branch's check."""
-    label = ",".join(f"{e:+g}" for e in eps)
-    values = ", ".join(f"{target.label}={e:+g}" for target, e in zip(targets, eps))
+def _slot_text(scenario: str, slot: Sequence[SerClaim]) -> tuple[str, str]:
+    """The description, before any failure detail, and the anchor of the check of one slot of claims.
+
+    A post-selected slot is one claim; a GHZ slot is one sign branch's three, labelled by their conditioning outcomes.
+    """
+    if len(slot) == 1:
+        return f"certified SER {slot[0].describe()}", f"{scenario}:certainty:{slot[0].observable.label}"
+    label = ",".join(f"{claim.conditioning.pairs[0][1]:+g}" for claim in slot)
+    values = ", ".join(f"{claim.observable.label}={claim.predicted_value:+g}" for claim in slot)
     return f"branch ({label}): SERs {values} all certified", f"{scenario}:branch:{label}"
-
-
-def _claim_text(scenario: str, claim: SerClaim) -> tuple[str, str]:
-    """The description, before any failure detail, and the anchor of one post-selected claim's check."""
-    return f"certified SER {claim.describe()}", f"{scenario}:certainty:{claim.observable.label}"
 
 
 def _check_identity(scenario: str, row: Identity) -> Check | Callable[[StateVector], Check]:
@@ -475,10 +476,8 @@ def _build_fixed_part(scenario: str) -> _FixedPart:
         return SerClaim(targets[k], value, OutcomeAssignment([(measured[k], given)]), {k + 1}, spec.target_regions[k])
 
     claims = tuple(claim(k, given[k], values[k]) for given, values in branches for k in range(len(targets)))
-    if post is None:
-        check_texts = tuple(_branch_text(scenario, targets, eps) for eps in _SIGN_BRANCHES)
-    else:
-        check_texts = tuple(map(partial(_claim_text, scenario), claims))
+    size = len(targets) if post is None else 1
+    check_texts = tuple(_slot_text(scenario, claims[i : i + size]) for i in range(0, len(claims), size))
     identities = tuple(_check_identity(scenario, row) for row in spec.identities)
     tuples = itertools.product(*(o.eigenvalues() for o in measured))
     outcomes = tuple((tup, OutcomeAssignment(list(zip(measured, tup)))) for tup in tuples)
@@ -498,12 +497,12 @@ def run_scenario(
     ANDs the branch's three certifications, since the argument covers
     whatever results the measurements produce.  Every check is a premise of
     the argument, so the verdict is ``report.passed()``: a failing check,
-    even a NaN post-selection value, voids it.  The claims and every check
-    that does not read the state are built once (:func:`_build_fixed_part`);
-    a flipped claim replaces one entry of a copy of the claim list.  Each
-    distinct claim object is certified once per run, so a claim shared by
-    four GHZ branches is judged once and a flip reaches its own slot only.
-    Every call certifies afresh and returns a new report.
+    even a NaN post-selection value, voids it.  The claims, their check texts
+    and every check that does not read the state are built once
+    (:func:`_build_fixed_part`); a flip replaces one entry of a copy of the
+    claim list and rebuilds its slot's text.  Each distinct claim object is
+    certified once per run, so a claim shared by four GHZ branches is judged
+    once and a flip reaches its own slot only.  Every call certifies afresh.
     """
     spec, state, params = _prepare(scenario, params)
     fixed = _shared(_build_fixed_part, scenario)
@@ -523,23 +522,21 @@ def run_scenario(
         )
 
     claims = list(fixed.claims)
-    if flip_claim is not None:
-        _flip(claims, flip_claim)
+    size = len(claims) // len(fixed.check_texts)  # claims per check
+    flipped = None if flip_claim is None else _flip(claims, flip_claim) // size  # the slot that holds the flip
     # each distinct claim object once; by identity, since the frozen dataclass's hash would hash every field
     distinct = {id(claim): claim for claim in claims}
     verdicts = {key: certify_ser(state, claim) for key, claim in distinct.items()}
-    report.certified_claims = [(claim, verdicts[id(claim)]) for claim in claims]
+    certs = [verdicts[id(claim)] for claim in claims]
+    report.certified_claims = list(zip(claims, certs))
 
-    if post is not None:
-        for (claim, cert), fixed_claim, text in zip(report.certified_claims, fixed.claims, fixed.check_texts):
-            description, anchor = text if claim is fixed_claim else _claim_text(scenario, claim)  # a flipped claim
-            detail = "" if cert.ok else f" [{cert.failed_clause}: {cert.detail}]"
-            report.checks.append(Check(description + detail, anchor, True, cert.ok, cert.miss, CERTAINTY_TOL))
-    else:
-        for b, (description, anchor) in enumerate(fixed.check_texts):
-            certs = [cert for _, cert in report.certified_claims[3 * b : 3 * b + 3]]
-            miss = max((cert.miss for cert in certs), key=lambda m: (m != m, m))  # a NaN miss is the largest
-            report.checks.append(Check(description, anchor, True, all(certs), miss, CERTAINTY_TOL))
+    for s, text in enumerate(fixed.check_texts):
+        description, anchor = _slot_text(scenario, claims[size * s : size * s + size]) if s == flipped else text
+        slot = certs[size * s : size * s + size]
+        failed = [cert for cert in slot if not cert.ok]
+        miss = max((cert.miss for cert in slot), key=lambda m: (m != m, m))  # a NaN miss is the largest
+        description += "".join(f" [{cert.failed_clause}: {cert.detail}]" for cert in failed)
+        report.checks.append(Check(description, anchor, True, not failed, miss, CERTAINTY_TOL))
 
     report.checks.extend(row if isinstance(row, Check) else row(state) for row in fixed.identities)
     setattr(report, f"{spec.verdict}_verdict", report.passed())

@@ -3,8 +3,10 @@
 These deliberately avoid the library's projector-product route: joint
 probabilities are computed by expanding the state in an explicit joint
 eigenbasis (built by recursive eigenspace refinement) and summing squared
-amplitudes.  The seeded draws of random test inputs live here too, and a
-hand-written reference for the CLI's compact JSON text.
+amplitudes.  The seeded draws of random test inputs live here too, a
+hand-written reference for the CLI's compact JSON text, and the anchor and
+text of each claim check, flipped or not, written out from the paper's claim
+order.
 """
 
 from __future__ import annotations
@@ -199,3 +201,44 @@ def reference_json(value) -> str:
     if isinstance(value, dict):
         return "{" + ",".join(f"{_reference_key(key)}:{reference_json(item)}" for key, item in value.items()) + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# --- flipped claims, in --flip-claim order --------------------------------------
+
+PSI_TARGETS = {  # the post-selected scenarios' targets and their flipped values
+    "epr-psi": (("sigma_x(2)", "+1"), ("sigma_x(1)", "+1"), ("pi(1+2)", "+0")),
+    "bell-hardy": (("sigma_z(2)", "+1"), ("sigma_z(1)", "+1"), ("pi(1+2)", "+0")),
+}
+PSI_UNFLIPPED = {  # the post-selected scenarios' claims before a flip: target=value, and the spin measured at +1
+    "epr-psi": (("sigma_x(2)=-1", "sigma_z(1)"), ("sigma_x(1)=-1", "sigma_z(2)"), ("pi(1+2)=+1", "sigma_z(3)")),
+    "bell-hardy": (("sigma_z(2)=-1", "sigma_x(1)"), ("sigma_z(1)=-1", "sigma_x(2)"), ("pi(1+2)=+1", "sigma_z(3)")),
+}
+GHZ_BRANCHES = [(e1, e2, e3) for e1 in (1, -1) for e2 in (1, -1) for e3 in (1, -1)]
+GHZ_TARGETS = {"epr-ghz": "A", "bell-ghz": "B"}  # claim 3b+k predicts the branch's k-th sign for <letter>_{k+1}
+
+
+def flipped_anchor(scenario: str, index: int) -> str:
+    """The anchor of the check that holds claim ``index``: its target, or its sign branch."""
+    if scenario in PSI_TARGETS:
+        return f"{scenario}:certainty:{PSI_TARGETS[scenario][index][0]}"
+    return f"{scenario}:branch:" + ",".join(f"{e:+d}" for e in GHZ_BRANCHES[index // 3])
+
+
+def flipped_claim_text(scenario: str, index: int) -> str:
+    """Claim ``index`` after the flip, as ``label=value``: its target at the other eigenvalue."""
+    if scenario in PSI_TARGETS:
+        return "=".join(PSI_TARGETS[scenario][index])
+    return f"{GHZ_TARGETS[scenario]}_{index % 3 + 1}={-GHZ_BRANCHES[index // 3][index % 3]:+d}"
+
+
+def claim_check_text(scenario: str, slot: int, flip: int | None) -> str:
+    """The description, before any failure detail, of claim check ``slot`` when claim ``flip`` is flipped."""
+    if scenario in PSI_TARGETS:
+        claim, given = PSI_UNFLIPPED[scenario][slot]
+        return f"certified SER {flipped_claim_text(scenario, slot) if slot == flip else claim} given {given}=+1"
+    branch = GHZ_BRANCHES[slot]
+    values = ", ".join(
+        flipped_claim_text(scenario, 3 * slot + k) if 3 * slot + k == flip else f"{GHZ_TARGETS[scenario]}_{k + 1}={e:+d}"
+        for k, e in enumerate(branch)
+    )
+    return f"branch ({','.join(f'{e:+d}' for e in branch)}): SERs {values} all certified"

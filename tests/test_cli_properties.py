@@ -22,14 +22,9 @@ from serlab.cli import RunConfig, dumps, main
 from serlab.hilbert import SCALAR_TOL
 from serlab.inference import SCENARIOS
 
-from oracles import reference_json
+from oracles import PSI_TARGETS, flipped_anchor, flipped_claim_text, reference_json
 
-PSI_SCENARIOS = ("epr-psi", "bell-hardy")
-PSI_TARGETS = {
-    "epr-psi": ("sigma_x(2)", "sigma_x(1)", "pi(1+2)"),
-    "bell-hardy": ("sigma_z(2)", "sigma_z(1)", "pi(1+2)"),
-}
-GHZ_BRANCHES = [(e1, e2, e3) for e1 in (1, -1) for e2 in (1, -1) for e3 in (1, -1)]
+PSI_SCENARIOS = tuple(PSI_TARGETS)
 NON_FINITE = ["nan", "NaN", "inf", "+inf", "-inf", "Infinity", "-Infinity"]
 
 
@@ -54,12 +49,6 @@ def amplitude_flags(draw):
     b = math.sqrt(1.0 - 3.0 * mod_a_sq) * complex(math.cos(phase_b), math.sin(phase_b))
     parts = {"a-re": a.real, "a-im": a.imag, "b-re": b.real, "b-im": b.imag}
     return [f"--{flag}={value!r}" for flag, value in parts.items()]
-
-
-def flipped_anchor(scenario, index):
-    if scenario in PSI_SCENARIOS:
-        return f"{scenario}:certainty:{PSI_TARGETS[scenario][index]}"
-    return f"{scenario}:branch:" + ",".join(f"{e:+d}" for e in GHZ_BRANCHES[index // 3])
 
 
 @settings(max_examples=40)
@@ -91,6 +80,8 @@ def test_any_flipped_claim_exits_1_between_passing_calls(flip, amps):
     assert [c["anchor"] for c in report["checks"] if not c["pass"]] == [flipped_anchor(scenario, index)]
     assert False in report["verdicts"].values()
     assert err.startswith("FAIL: ") and err.count("\n") == 1
+    # the line names the claim that failed, at its flipped value, and the clause that failed it
+    assert f" {flipped_claim_text(scenario, index)}" in err and " [not-certain: miss probability is " in err
 
     assert run(passing) == first
 

@@ -1,12 +1,14 @@
 """Golden outputs, recorded in README.md: the sha256 of two JSON reports, one text report,
-each demo's stdout and a corpus of CLI runs.  The two JSON reports are committed under
-``tests/golden/`` as well, so a change to them names the values that changed.
+each demo's stdout and a corpus of CLI runs.  The three reports and the demo outputs are
+committed under ``tests/golden/`` as well, with one sha256 per corpus run, so a change to
+them names what changed: each JSON value, each text line, or each corpus run.
 
 Any refactor must leave these bytes unchanged; a change to them is a change
 of behaviour and has to be made, and recorded in README.md, on purpose.
 """
 
 import contextlib
+import difflib
 import hashlib
 import importlib
 import io
@@ -54,11 +56,27 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def assert_matches_golden(path: pathlib.Path, digest: str, got: str) -> None:
+    """``got`` must be the bytes of the golden file, whose sha256 is ``digest``; a mismatch names what changed.
+
+    A JSON file's failure lists each changed parsed value, a text file's a unified diff of its lines.
+    """
+    golden = path.read_text(encoding="utf-8")
+    assert hashlib.sha256(golden.encode()).hexdigest() == digest, f"{path.name} does not hold the pinned bytes"
+    if got == golden:
+        return
+    if path.suffix == ".json":
+        changes = value_changes(json.loads(golden), json.loads(got)) or ["no parsed value changed"]
+    else:
+        lines = difflib.unified_diff(golden.splitlines(), got.splitlines(), path.name, "got", lineterm="")
+        changes = list(lines) or ["no line changed; only the final newline differs"]
+    pytest.fail("\n".join([f"the bytes of {path.name} changed:", *changes]))
+
+
 @pytest.mark.parametrize("digest, command", GOLDEN.items(), ids=["verify", "sample", "verify-text"])
 def test_golden_output(digest, command, monkeypatch):
-    report = REPORTS / f"{command.split()[0]}.json"  # the bytes of a JSON report, committed
-    golden = report.read_text() if command.endswith("--format json") else None
-    assert golden is None or hashlib.sha256(golden.encode()).hexdigest() == digest
+    suffix = "json" if command.endswith("--format json") else "txt"
+    report = REPORTS / f"{command.split()[0]}.{suffix}"  # the report's bytes, committed
     # a cold run builds every shared part and the GHZ reports; the warm run after it reads them
     monkeypatch.setattr(importlib.import_module("serlab.spin"), "_SHARED", {})
     for _ in ("cold", "warm"):
@@ -66,10 +84,7 @@ def test_golden_output(digest, command, monkeypatch):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(command.split())
         assert (code, err.getvalue()) == (0, "")
-        if golden is not None and out.getvalue() != golden:
-            changes = value_changes(json.loads(golden), json.loads(out.getvalue())) or ["no parsed value changed"]
-            pytest.fail("\n".join([f"the bytes of {report.name} changed:", *changes]))
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+        assert_matches_golden(report, digest, out.getvalue())
 
 
 DEMOS = ROOT / "demos"
@@ -86,7 +101,7 @@ def test_demo_output(demo, digest):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(DEMOS / f"{demo}.py"), run_name="__main__")
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert_matches_golden(REPORTS / f"{demo}.txt", digest, out.getvalue())
 
 
 def _corpus() -> list[list[str]]:
@@ -113,12 +128,13 @@ def _corpus() -> list[list[str]]:
     return corpus
 
 
-CORPUS_DIGEST = "da2907518ed706d3ed35483be7d85d32b0015dff45df968efdf4f6df0ed8e30f"
+CORPUS_DIGEST = "1aae17e164563dcd01516cd144be8fb6d9ecd56ec6218eb8de9f0e064af42750"
+CORPUS_RUNS = REPORTS / "corpus.sha256"  # one "<sha256 of the run> <argv>" line per run, in corpus order
 
 
 def test_cli_corpus(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal width
-    digest = hashlib.sha256()
+    digest, runs = hashlib.sha256(), {}
     for argv in _corpus():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -126,7 +142,13 @@ def test_cli_corpus(monkeypatch):
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-        digest.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+        run = repr((argv, code, out.getvalue(), err.getvalue())).encode()
+        digest.update(run)
+        runs[" ".join(argv)] = hashlib.sha256(run).hexdigest()
+    pinned = {args: sha for sha, args in (line.split(" ", 1) for line in CORPUS_RUNS.read_text().splitlines())}
+    assert list(pinned) == list(runs), f"{CORPUS_RUNS.name} lists other runs than the corpus"
+    changed = [f"serlab {args}: {pinned[args]} → {sha}" for args, sha in runs.items() if sha != pinned[args]]
+    assert not changed, "\n".join([f"{len(changed)} of {len(runs)} corpus runs changed:", *changed])
     assert digest.hexdigest() == CORPUS_DIGEST
 
 

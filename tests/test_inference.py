@@ -39,7 +39,7 @@ from serlab.measurement import OutcomeAssignment, collapse, conditional_probabil
 from serlab.spin import Axis, embed, hardy_projector, mermin_A, pauli, spin, spin_product
 from serlab.states import PsiParams, ghz_mermin_state, hardy_state, psi_state
 
-from oracles import distinct_eigenvalues, joint_probability, random_psi_params, random_unitary
+from oracles import claim_check_text, distinct_eigenvalues, flipped_anchor, joint_probability, random_psi_params, random_unitary
 
 DEFAULT = PsiParams(0.5, 0.5)
 spin_module = importlib.import_module("serlab.spin")  # the package exports a function named spin
@@ -321,7 +321,7 @@ def _counting_certify(monkeypatch) -> list:
 
 @pytest.mark.parametrize("scenario", ["epr-ghz", "bell-ghz"])
 def test_flipping_ghz_claims_fails(scenario, monkeypatch):
-    # a flip fails its own branch only: its slot's three twins keep the shared claim and stay certified
+    # a flip fails its own branch only: the flipped claim's three twins keep the shared claim and stay certified
     shared = [claim for claim, _ in run_scenario(scenario).certified_claims]
     judged = _counting_certify(monkeypatch)
     for k in range(24):
@@ -441,6 +441,20 @@ def test_each_check_passes_by_its_deviation_and_bound(flip, params, seed):
     for check in report.checks + sampled:
         if check.bound == 0.0:  # an equality check: no-common-eigenstate, pair caveat, hard count, product
             assert check.passed == (check.computed == check.expected)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_a_nan_miss_last_in_its_slot_fails_the_check(scenario, monkeypatch):
+    # max() keeps an earlier value over a later NaN, so the check's miss must rank a NaN first
+    last = run_scenario(scenario, _params(scenario)).certified_claims[-1][0]
+    certify = inference.certify_ser
+    nan = inference.Certification(False, "not-certain", "miss probability is nan", math.nan)
+    monkeypatch.setattr(inference, "certify_ser", lambda state, claim: nan if claim is last else certify(state, claim))
+    report = run_scenario(scenario, _params(scenario))
+    places = sum(claim is last for claim, _ in report.certified_claims)  # 4 in a GHZ scenario, one per eps_1, eps_2
+    failing = [check for check in report.checks if not check.passed]
+    assert len(failing) == places and all(math.isnan(check.deviation) for check in failing)
+    assert all(check.description.endswith(" [not-certain: miss probability is nan]") for check in failing)
 
 
 def test_a_nan_deviation_fails_even_against_an_infinite_bound():
@@ -610,20 +624,30 @@ def test_warm_ghz_runs_certify_their_claims_on_every_call(scenario, monkeypatch)
         assert report.checks == cold.checks and report is not cold
 
 
-@pytest.mark.parametrize("flip", [None, 0, 1, 2])
-@pytest.mark.parametrize("scenario", [name for name in SCENARIOS if SCENARIO_TABLE[name].needs_params])
+FLIP_CASES = [
+    (name, flip) for name in SCENARIOS for flip in [None, *range(3 if SCENARIO_TABLE[name].needs_params else 24)]
+]
+
+
+@pytest.mark.parametrize("scenario, flip", FLIP_CASES, ids=[f"{name}-{flip}" for name, flip in FLIP_CASES])
 def test_claim_check_texts_follow_each_slots_own_claim(scenario, flip):
-    report = run_scenario(scenario, DEFAULT, flip_claim=flip)
+    report = run_scenario(scenario, _params(scenario), flip_claim=flip)
     post = SCENARIO_TABLE[scenario].post_selection
-    (postselect,) = [check for check in report.checks if check.anchor == f"{scenario}:postselect"]
-    assert postselect.description == f"post-selection probability P({report.post_selection.describe()}) = {post.text}"
-    checks = [check for check in report.checks if check.anchor.startswith(f"{scenario}:certainty:")]
-    assert len(checks) == len(report.certified_claims) == 3
-    for check, (claim, cert) in zip(checks, report.certified_claims):
-        detail = "" if cert.ok else f" [{cert.failed_clause}: {cert.detail}]"
-        assert check.description == f"certified SER {claim.describe()}{detail}"
-        assert check.anchor == f"{scenario}:certainty:{claim.observable.label}"
-    assert [cert.ok for _, cert in report.certified_claims] == [k != flip for k in range(3)]
+    if post is not None:
+        (postselect,) = [check for check in report.checks if check.anchor == f"{scenario}:postselect"]
+        assert postselect.description == f"post-selection probability P({report.post_selection.describe()}) = {post.text}"
+    size = 1 if post is not None else 3  # a slot: one claim when post-selected, a sign branch's three otherwise
+    kind = "certainty" if post is not None else "branch"
+    checks = [check for check in report.checks if check.anchor.startswith(f"{scenario}:{kind}:")]
+    assert len(checks) == (3 if post is not None else 8)
+    assert len(report.certified_claims) == (3 if post is not None else 24)
+    for s, check in enumerate(checks):
+        slot = report.certified_claims[size * s : size * s + size]
+        details = "".join(f" [{cert.failed_clause}: {cert.detail}]" for _, cert in slot if not cert.ok)
+        assert check.description == claim_check_text(scenario, s, flip) + details
+        assert check.anchor == flipped_anchor(scenario, size * s)
+    n = len(report.certified_claims)
+    assert [cert.ok for _, cert in report.certified_claims] == [k != flip for k in range(n)]
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
