@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property, partial, reduce
 from typing import Callable, NamedTuple, Sequence
 
@@ -85,10 +85,9 @@ __all__ = [
 class SerClaim:
     """A predicted-with-certainty value for an observable on an undisturbed group.
 
-    The target's eigenprojector is looked up when the claim is built, which
-    rejects an off-spectrum value; the verdict of the three clauses that never
-    read a state is computed on first use.  Both are kept on the instance, so
-    they are freed with the claim; ``dataclasses.replace`` starts anew.
+    The target's eigenprojector is looked up when the claim is built, which rejects an off-spectrum value; the
+    verdict of the three clauses that never read a state is computed on first use.  Both are kept on the instance.
+    A scenario's fixed part holds its claims, flipped ones too, for the process, so each is judged once.
     """
 
     observable: Observable
@@ -389,28 +388,14 @@ def _prepare(scenario: str, params: PsiParams | None) -> tuple[Scenario, StateVe
     return spec, psi_state(params), params
 
 
-def _flip(claims: list[SerClaim], which: int) -> int:
-    """Replace the predicted value of one claim by a different eigenvalue (fault injection); return its index."""
-    which = _index(which)
-    if not 0 <= which < len(claims):
-        raise ValueError(f"flip index {which} out of range; scenario emits {len(claims)} claims")
-    claim = claims[which]
-    spectral = claim.observable.spectral()
-    k = spectral.index_of(claim.predicted_value)
-    others = spectral.eigenvalues[:k] + spectral.eigenvalues[k + 1 :]
-    if not others:
-        raise ValueError("observable has a single eigenvalue; nothing to flip to")
-    claims[which] = replace(claim, predicted_value=others[0])
-    return which
-
-
 class _FixedPart(NamedTuple):
-    """What a run or a sampling of one scenario computes without reading the state, report texts included."""
+    """What a run or a sampling of a scenario computes without reading the state, flipped claims and texts included."""
 
     measured: tuple[Observable, ...]
     post_selection: OutcomeAssignment | None
     post_text: str  # the post-selection check's description; "" when not post-selected
     claims: tuple[SerClaim, ...]  # unflipped, in report order; a GHZ claim fills the 4 places of its (k, eps_k)
+    flips: tuple[SerClaim | None, ...]  # per place, its claim at another eigenvalue; None if its target has just one
     check_texts: tuple[tuple[str, str], ...]  # _slot_text per slot: a sign branch's 3 claims, or 1 when post-selected
     identities: tuple[Check | Callable[[StateVector], Check], ...]  # per row: its check, or a function of the state
     outcomes: tuple[tuple[tuple[float, ...], OutcomeAssignment], ...]  # each outcome tuple of ``measured``
@@ -475,13 +460,21 @@ def _build_fixed_part(scenario: str) -> _FixedPart:
     def claim(k: int, given: float, value: float) -> SerClaim:
         return SerClaim(targets[k], value, OutcomeAssignment([(measured[k], given)]), {k + 1}, spec.target_regions[k])
 
-    claims = tuple(claim(k, given[k], values[k]) for given, values in branches for k in range(len(targets)))
+    def flip(k: int, given: float, value: float) -> SerClaim | None:
+        """The claim at its target's first other eigenvalue, or None; found by spectral position, not float ``!=``."""
+        eigenvalues, i = targets[k].eigenvalues(), targets[k].spectral().index_of(value)
+        others = eigenvalues[:i] + eigenvalues[i + 1 :]
+        return claim(k, given, others[0]) if others else None
+
+    places = [(k, given[k], values[k]) for given, values in branches for k in range(len(targets))]
+    claims = tuple(claim(*place) for place in places)
+    flips = tuple(flip(*place) for place in places)
     size = len(targets) if post is None else 1
     check_texts = tuple(_slot_text(scenario, claims[i : i + size]) for i in range(0, len(claims), size))
     identities = tuple(_check_identity(scenario, row) for row in spec.identities)
     tuples = itertools.product(*(o.eigenvalues() for o in measured))
     outcomes = tuple((tup, OutcomeAssignment(list(zip(measured, tup)))) for tup in tuples)
-    return _FixedPart(measured, post_selection, post_text, claims, check_texts, identities, outcomes)
+    return _FixedPart(measured, post_selection, post_text, claims, flips, check_texts, identities, outcomes)
 
 
 def run_scenario(
@@ -492,17 +485,14 @@ def run_scenario(
 ) -> ScenarioReport:
     """Run one argument analytically: certify its claims, then check its identity rows.
 
-    A post-selected scenario checks the post-selection probability and gets
-    one check per claim; a GHZ scenario gets one check per sign branch, which
-    ANDs the branch's three certifications, since the argument covers
-    whatever results the measurements produce.  Every check is a premise of
-    the argument, so the verdict is ``report.passed()``: a failing check,
-    even a NaN post-selection value, voids it.  The claims, their check texts
-    and every check that does not read the state are built once
-    (:func:`_build_fixed_part`); a flip replaces one entry of a copy of the
-    claim list and rebuilds its slot's text.  Each distinct claim object is
-    certified once per run, so a claim shared by four GHZ branches is judged
-    once and a flip reaches its own slot only.  Every call certifies afresh.
+    A post-selected scenario checks the post-selection probability and gets one check per claim; a GHZ scenario gets
+    one check per sign branch, which ANDs the branch's three certifications, since the argument covers whatever
+    results the measurements produce.  Every check is a premise of the argument, so the verdict is
+    ``report.passed()``: a failing check, even a NaN post-selection value, voids it.  The claims, flipped ones
+    included, their check texts and every check that does not read the state are built once
+    (:func:`_build_fixed_part`); a flip puts the part's flipped claim in one place of a copy of the claim list and
+    rebuilds its slot's text.  Each distinct claim object is certified once per run, so a claim shared by four GHZ
+    branches is judged once and a flip reaches its own slot only.  Every call certifies afresh.
     """
     spec, state, params = _prepare(scenario, params)
     fixed = _shared(_build_fixed_part, scenario)
@@ -523,7 +513,14 @@ def run_scenario(
 
     claims = list(fixed.claims)
     size = len(claims) // len(fixed.check_texts)  # claims per check
-    flipped = None if flip_claim is None else _flip(claims, flip_claim) // size  # the slot that holds the flip
+    flipped = None  # the slot that holds the flip
+    if flip_claim is not None:
+        which = _index(flip_claim)
+        if not 0 <= which < len(claims):
+            raise ValueError(f"flip index {which} out of range; scenario emits {len(claims)} claims")
+        if fixed.flips[which] is None:
+            raise ValueError("observable has a single eigenvalue; nothing to flip to")
+        claims[which], flipped = fixed.flips[which], which // size
     # each distinct claim object once; by identity, since the frozen dataclass's hash would hash every field
     distinct = {id(claim): claim for claim in claims}
     verdicts = {key: certify_ser(state, claim) for key, claim in distinct.items()}

@@ -1,7 +1,8 @@
 """Golden outputs, recorded in README.md: the sha256 of two JSON reports, one text report,
-each demo's stdout and a corpus of CLI runs.  The three reports and the demo outputs are
-committed under ``tests/golden/`` as well, with one sha256 per corpus run, so a change to
-them names what changed: each JSON value, each text line, or each corpus run.
+each demo's stdout and a corpus of CLI runs.  These tests read each digest from README's
+tables, the one place it is written.  The three reports and the demo outputs are committed
+under ``tests/golden/`` as well, with one sha256 per corpus run, so a change to them names
+what changed: each JSON value, each text line, or each corpus run.
 
 Any refactor must leave these bytes unchanged; a change to them is a change
 of behaviour and has to be made, and recorded in README.md, on purpose.
@@ -24,14 +25,13 @@ from serlab.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPORTS = ROOT / "tests" / "golden"
-GOLDEN = {
-    "c285be5d15dd1bd81b341fd00758a231a2a92b84f0f1fea1cf383f5c6a867c13": (
-        "verify --scenario all --format json"
-    ),
-    "9d7970ef2dda5bddbe53290c56ace3f04b0223f9a242b98ac9d133670ecc0014": (
-        "sample --scenario all --seed 0 --trials 100000 --format json"
-    ),
-    "2d6e3a88f1e2a5b35d5b62d35a39fab35c9e158321d7823d082eb8da288e2903": "verify --scenario all",
+# README's digest rows, "| <label> | `<sha256>` |", each keyed by the first code span of its label
+README_ROWS = re.findall(r"^\| (.+) \| `([0-9a-f]{64})` \|$", ROOT.joinpath("README.md").read_text(), re.MULTILINE)
+PINNED = {label.split("`")[1]: digest for label, digest in README_ROWS}
+GOLDEN = {  # test id -> a command whose stdout is pinned, in README as `serlab <command>`
+    "verify": "verify --scenario all --format json",
+    "sample": "sample --scenario all --seed 0 --trials 100000 --format json",
+    "verify-text": "verify --scenario all",
 }
 
 
@@ -73,8 +73,9 @@ def assert_matches_golden(path: pathlib.Path, digest: str, got: str) -> None:
     pytest.fail("\n".join([f"the bytes of {path.name} changed:", *changes]))
 
 
-@pytest.mark.parametrize("digest, command", GOLDEN.items(), ids=["verify", "sample", "verify-text"])
-def test_golden_output(digest, command, monkeypatch):
+@pytest.mark.parametrize("command", GOLDEN.values(), ids=list(GOLDEN))
+def test_golden_output(command, monkeypatch):
+    digest = PINNED[f"serlab {command}"]
     suffix = "json" if command.endswith("--format json") else "txt"
     report = REPORTS / f"{command.split()[0]}.{suffix}"  # the report's bytes, committed
     # a cold run builds every shared part and the GHZ reports; the warm run after it reads them
@@ -88,20 +89,15 @@ def test_golden_output(digest, command, monkeypatch):
 
 
 DEMOS = ROOT / "demos"
-DEMO_DIGESTS = {
-    "01_certainty_chain": "ff7b3dee13d403286347b39bf5487788ddac7d0bb45db5345942621e6aa6f8d8",
-    "02_incompleteness": "08723d48348e6e6b53c878347cf456190acf54eaa3f36c26c4523137200f972a",
-    "03_contradictions": "c090df7a971b76ee643de1c2d016124a916a6fdabdf40c1d3e804950e89c96c1",
-    "04_sampling": "f445b6014194861bb51e8efceea07153ef0d15947581940d15d0a7069811b02c",
-}
+DEMO_NAMES = sorted(path.stem for path in DEMOS.glob("*.py"))  # each pinned in README as `python3 demos/<demo>.py`
 
 
-@pytest.mark.parametrize("demo, digest", DEMO_DIGESTS.items(), ids=list(DEMO_DIGESTS))
-def test_demo_output(demo, digest):
+@pytest.mark.parametrize("demo", DEMO_NAMES)
+def test_demo_output(demo):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(DEMOS / f"{demo}.py"), run_name="__main__")
-    assert_matches_golden(REPORTS / f"{demo}.txt", digest, out.getvalue())
+    assert_matches_golden(REPORTS / f"{demo}.txt", PINNED[f"python3 demos/{demo}.py"], out.getvalue())
 
 
 def _corpus() -> list[list[str]]:
@@ -128,7 +124,6 @@ def _corpus() -> list[list[str]]:
     return corpus
 
 
-CORPUS_DIGEST = "1aae17e164563dcd01516cd144be8fb6d9ecd56ec6218eb8de9f0e064af42750"
 CORPUS_RUNS = REPORTS / "corpus.sha256"  # one "<sha256 of the run> <argv>" line per run, in corpus order
 
 
@@ -149,16 +144,15 @@ def test_cli_corpus(monkeypatch):
     assert list(pinned) == list(runs), f"{CORPUS_RUNS.name} lists other runs than the corpus"
     changed = [f"serlab {args}: {pinned[args]} → {sha}" for args, sha in runs.items() if sha != pinned[args]]
     assert not changed, "\n".join([f"{len(changed)} of {len(runs)} corpus runs changed:", *changed])
-    assert digest.hexdigest() == CORPUS_DIGEST
+    assert digest.hexdigest() == PINNED["tests/test_golden.py::test_cli_corpus"]
 
 
 def test_readme_tables_record_the_pinned_digests():
-    rows = re.findall(r"^\| (.+) \| `([0-9a-f]{64})` \|$", ROOT.joinpath("README.md").read_text(), re.MULTILINE)
-    pinned = {
-        **{digest: f"`serlab {command}`" for digest, command in GOLDEN.items()},
-        **{digest: f"`python3 demos/{demo}.py`" for demo, digest in DEMO_DIGESTS.items()},
-        CORPUS_DIGEST: "test_cli_corpus",
-    }
-    assert sorted(digest for _, digest in rows) == sorted(pinned)
-    for label, digest in rows:
-        assert pinned[digest] in label
+    # one row per pinned output, and no row these tests do not read
+    expected = [
+        *(f"serlab {command}" for command in GOLDEN.values()),
+        *(f"python3 demos/{demo}.py" for demo in DEMO_NAMES),
+        "tests/test_golden.py::test_cli_corpus",
+    ]
+    assert sorted(label.split("`")[1] for label, _ in README_ROWS) == sorted(expected)
+    assert len({digest for _, digest in README_ROWS}) == len(README_ROWS)

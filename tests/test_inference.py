@@ -666,13 +666,68 @@ def test_certified_claims_keep_one_slot_per_branch_and_target(scenario):
     assert len({id(claim) for claim, _ in report.certified_claims}) == (3 if spec.needs_params else 6)
 
 
+def _counting_structural_calls(monkeypatch) -> list:
+    """Record the name of each ``acts_only_on`` and ``commutes`` call that a claim's structural clauses make."""
+    calls = []
+    for name in ("acts_only_on", "commutes"):
+        def counting(*args, _name=name, _call=getattr(inference, name)):
+            calls.append(_name)
+            return _call(*args)
+
+        monkeypatch.setattr(inference, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_warm_flipped_runs_judge_no_structural_clause(scenario, monkeypatch):
+    n = len(run_scenario(scenario, _params(scenario)).certified_claims)
+    for k in range(n):  # the first run of each flip judges its claim's structural clauses
+        run_scenario(scenario, _params(scenario), flip_claim=k)
+    calls = _counting_structural_calls(monkeypatch)
+    for k in range(n):
+        assert not run_scenario(scenario, _params(scenario), flip_claim=k).passed()
+    assert calls == []
+    monkeypatch.setattr(spin_module, "_SHARED", {})  # a cold part judges them again, through the counters
+    run_scenario(scenario, _params(scenario), flip_claim=0)
+    assert "acts_only_on" in calls and "commutes" in calls
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_runs_with_one_flip_index_certify_one_claim_object(scenario):
+    part = _part(scenario)
+    for k, flip in enumerate(part.flips):
+        first, second = (run_scenario(scenario, _params(scenario), flip_claim=k) for _ in range(2))
+        assert first.certified_claims[k][0] is second.certified_claims[k][0] is flip
+        assert flip.predicted_value != part.claims[k].predicted_value
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_a_flipped_first_run_reports_as_a_warm_one(scenario, monkeypatch):
+    monkeypatch.setattr(spin_module, "_SHARED", {})
+    cold = run_scenario(scenario, _params(scenario), flip_claim=2)
+    assert cold.certified_claims[2][0] is _part(scenario).flips[2]
+    warm = run_scenario(scenario, _params(scenario), flip_claim=2)
+    assert cli.dumps(cli.report_payload(warm)) == cli.dumps(cli.report_payload(cold)) and not warm.passed()
+
+
+def test_a_flip_picks_the_other_eigenvalue_by_spectral_position(false_scenario, monkeypatch):
+    # -0.9999999999999998 is the eigenvalue of the predicted -1.0; a float != would take it as the flip's value
+    target = partial(Observable, np.diag([-0.9999999999999998] * 4 + [1.0] * 4), "N")
+    spec = SCENARIO_TABLE["epr-psi"]
+    monkeypatch.setitem(SCENARIO_TABLE, false_scenario, replace(spec, targets=(target, *spec.targets[1:])))
+    report = run_scenario(false_scenario, DEFAULT, flip_claim=0)
+    claim, cert = report.certified_claims[0]
+    assert (claim.predicted_value, _part(false_scenario).claims[0].predicted_value) == (1.0, -1.0)
+    assert cert.failed_clause == "not-certain"
+
+
 def _parts() -> int:
     """The scenario parts held in the shared memo."""
     return sum(isinstance(value, inference._FixedPart) for value in spin_module._SHARED.values())
 
 
 def test_flip_runs_keep_memory_bounded():
-    # a flipped claim is the only claim a run builds; none may outlive its report
+    # a run builds no claim: the part holds every flipped claim, so no flipped run may leave anything behind
     n_claims = {name: len(run_scenario(name, _params(name)).certified_claims) for name in SCENARIOS}
 
     def flips(n):

@@ -6,6 +6,8 @@ import itertools
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -612,8 +614,14 @@ def test_sample_joint_memory_per_record():
 # --- error paths ----------------------------------------------------------------
 
 
-def _single_eigenvalue_claim():
-    return inference.SerClaim(Observable(np.eye(8)), 1.0, OutcomeAssignment((), dim=8), {1}, {2})
+def _flip_a_single_eigenvalue_target():
+    """Flip claim 2 of epr-psi's record with the identity as its third target, under a temporary table key."""
+    name, spec = "flat-target", SCENARIO_TABLE["epr-psi"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(SCENARIO_TABLE, name, replace(spec, targets=(*spec.targets[:2], partial(Observable, np.eye(8)))))
+        patch.setattr(spin_module, "_SHARED", {})
+        assert run_scenario(name, DEFAULT).passed()  # unflipped, the identity's value 1 is certain
+        run_scenario(name, DEFAULT, flip_claim=2)
 
 
 @pytest.mark.parametrize(
@@ -644,7 +652,7 @@ def _single_eigenvalue_claim():
             "unknown identity kind 'bogus'",
         ),
         (
-            lambda: inference._flip([_single_eigenvalue_claim()], 0),
+            lambda: _flip_a_single_eigenvalue_target(),
             "observable has a single eigenvalue; nothing to flip to",
         ),
     ],
