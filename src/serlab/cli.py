@@ -1,8 +1,9 @@
 """Command-line front end: analytic verification (`verify`) and Monte Carlo sampling (`sample`).
 
-Exit codes: 0 when every check passes, 1 when a check fails (the first failing
-check is named on stderr), 2 for usage or parameter errors, 141 when stdout is
-closed before the report is written.
+One option table, ``_OPTIONS``, reads every command line and writes the help text; ``RunConfig`` judges the values.
+Exit codes: 0 when every check passes or help is printed, 1 when a check fails (the first failing check is named
+on stderr), 2 for a usage or parameter error (one ``error:`` line on stderr), 141 when stdout is closed before the
+report is written.
 
 JSON reports are byte-identical for identical configuration (including seed):
 field order is fixed and floats are written at their shortest round-trip repr.
@@ -243,99 +244,88 @@ def run_command(command: str, config: RunConfig) -> int:
     return 0
 
 
-_OPTIONS = {  # the one list of the CLI's flags: RunConfig field, type, choices, commands, metavar, help ("{}": default)
-    "--scenario": ("scenario", str, _SCENARIO_CHOICES, "verify sample", None, "which scenario to run (default: {})"),
-    "--a-re": ("a_re", float, None, "verify sample", None, "Re(a) for the psi family (default {:g})"),
-    "--a-im": ("a_im", float, None, "verify sample", None, "Im(a) (default {:g})"),
-    "--b-re": ("b_re", float, None, "verify sample", None, "Re(b) (default {:g})"),
-    "--b-im": ("b_im", float, None, "verify sample", None, "Im(b) (default {:g})"),
-    "--format": ("format", str, _FORMATS, "verify sample", None, "report format"),
-    "--flip-claim": ("flip_claim", int, None, "verify", "N", "move the Nth inferred value to another eigenvalue of"
-                     " its observable before certification (fault-injection self-test)"),
-    "--trials": ("trials", int, None, "sample", None, "Monte Carlo trials (default {})"),
-    "--seed": ("seed", int, None, "sample", None, "sampling seed (default {})"),
+_COMMANDS = {"verify": "run a scenario's analytic checks", "sample": "run a scenario's seeded Monte Carlo sampling"}
+_OPTIONS = {  # every flag, for _parse and _help: RunConfig field, type, commands, help text ("{}": its default)
+    "--scenario": ("scenario", str, "verify sample", f"one of {', '.join(_SCENARIO_CHOICES)} (default: {{}})"),
+    "--a-re": ("a_re", float, "verify sample", "Re(a) for the psi family (default {:g})"),
+    "--a-im": ("a_im", float, "verify sample", "Im(a) (default {:g})"),
+    "--b-re": ("b_re", float, "verify sample", "Re(b) (default {:g})"),
+    "--b-im": ("b_im", float, "verify sample", "Im(b) (default {:g})"),
+    "--format": ("format", str, "verify sample", "report format, text or json (default: {})"),
+    "--flip-claim": ("flip_claim", int, "verify", "self-test: move inferred value FLIP_CLAIM to another eigenvalue"),
+    "--trials": ("trials", int, "sample", "Monte Carlo trials (default {})"),
+    "--seed": ("seed", int, "sample", "sampling seed (default {})"),
 }
-_FLOAT_OPTIONS = {flag for flag, (_, kind, *_) in _OPTIONS.items() if kind is float}
+_HELP = {"-h": (None, None), "--help": (None, None)}  # in _FLAGS a flag maps to (RunConfig field, type); help has none
+_FLAGS = {name: {flag: spec[:2] for flag, spec in _OPTIONS.items() if name in spec[2].split()} | _HELP
+          for name in _COMMANDS}
 
 
-@functools.cache
-def build_parser():
-    """The parser of ``_OPTIONS``, built once per process, and only for help or a line ``_scan`` declines."""
-    import argparse  # here, so that importing the module does not load argparse
-
-    description = "Verify certain-value inference arguments on three-qubit entangled states."
-    parser = argparse.ArgumentParser(prog="serlab", description=description)
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", help="run the analytic checks of a scenario")
-    sub.add_parser("sample", help="run the scenario's seeded Monte Carlo measurements")
-    for flag, (field, kind, choices, commands, metavar, text) in _OPTIONS.items():
-        for command in commands.split():  # RunConfig's defaults are the parser's
-            options = dict(dest=field, type=kind, choices=choices, default=getattr(RunConfig, field), metavar=metavar)
-            sub.choices[command].add_argument(flag, **options, help=text.format(options["default"]))
-    return parser
+def _help(command: str | None = None) -> str:
+    """The help text of ``serlab``, or of one of its commands, written from ``_COMMANDS`` and ``_OPTIONS``."""
+    lines = [f"usage: serlab {command or '{verify,sample}'} [options]", ""]
+    lines.append("Verify certain-value inference arguments on three-qubit entangled states.")
+    for name in [command] if command else _COMMANDS:
+        lines += ["", f"serlab {name}: {_COMMANDS[name]}"]
+        for flag, (field, _, commands, text) in _OPTIONS.items():
+            if name in commands.split():
+                lines.append(f"  {flag + ' ' + field.upper():<23} {text.format(getattr(RunConfig, field))}")
+        lines.append(f"  {'-h, --help':<23} show this help and exit")
+    return "\n".join(lines)
 
 
-def _scan(argv: list[str]) -> dict | None:
-    """The command and given ``RunConfig`` fields of a well-formed command line, or None to leave it to argparse.
+def _full_flag(prefix: str, flags: dict, command: str) -> str:
+    """The one flag of ``flags`` that ``prefix`` begins (``--scen`` for ``--scenario``), or ``ValueError``."""
+    matches = [flag for flag in flags if flag.startswith(prefix)] if prefix.startswith("--") and prefix != "--" else []
+    if len(matches) != 1:
+        reason = f"is ambiguous: it could be {' or '.join(matches)}" if matches else f"is not an option of {command}"
+        raise ValueError(f"{prefix} {reason}")
+    return matches[0]
 
-    It reads only the command's flags in full, ``--flag=value`` or ``--flag value`` with a value not led by ``-``,
-    converted and checked as argparse does (the last of a repeated flag wins), and declines all else without a word.
+
+def _parse(argv: list[str]) -> tuple[str, dict] | str:
+    """The command of a command line and the ``RunConfig`` fields it gives, or the help text it asks for.
+
+    A flag is given as ``--flag=value`` or ``--flag value``, the value taken as it is, even when led by ``-``
+    (``--b-im -8e-05``); a unique prefix stands for its flag, and the last of a repeated flag wins.  A line that
+    cannot be read raises ``ValueError`` with the one line to show; whether a value is allowed is ``RunConfig``'s
+    to say.  An exact flag costs one dict lookup: the prefix search runs only after a miss.
     """
-    if not argv or argv[0] not in ("verify", "sample"):
-        return None
-    given, tokens = {"command": argv[0]}, iter(argv[1:])
+    if not argv:
+        raise ValueError("no command given; expected verify or sample")
+    command, tokens, given = argv[0], iter(argv[1:]), {}
+    flags = _FLAGS.get(command)
+    if flags is None:
+        if command.startswith("-") and (command in _HELP or _full_flag(command, _HELP, "serlab")):
+            return _help()
+        raise ValueError(f"unknown command {command!r}; expected verify or sample")
     for token in tokens:
         flag, attached, value = token.partition("=")
-        if not attached:
-            value = next(tokens, "-")  # a missing value is declined as a dash-led one is
-        spec = _OPTIONS.get(flag)
-        if spec is None or argv[0] not in spec[3].split() or not attached and value.startswith("-"):
-            return None
-        field, kind, choices, *_ = spec
+        field, kind = flags.get(flag) or flags[flag := _full_flag(flag, flags, command)]
+        if field is None:
+            return _help(command)
+        if not attached and (value := next(tokens, None)) is None:
+            raise ValueError(f"{flag} needs a value")
         try:
             given[field] = kind(value)
         except ValueError:
-            return None
-        if choices is not None and value not in choices:  # a choice's type is str, so its value is the token
-            return None
-    return given
-
-
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Write ``--b-im -8e-05`` as ``--b-im=-8e-05``.
-
-    argparse takes a dash-led token for an option name unless it looks like a
-    plain decimal, so a negative value in exponent notation (or ``-inf``)
-    would not reach its option.
-    """
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] in _FLOAT_OPTIONS and token.startswith("-") and _is_float(token):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+            raise ValueError(f"{flag} takes {'an int' if kind is int else 'a float'}; got {value!r}") from None
+    return command, given
 
 
 def main(argv=None) -> int:
-    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
-    given = _scan(argv) or vars(build_parser().parse_args(argv))  # argparse writes help and usage errors
-    command = given.pop("command")
     try:
-        config = RunConfig(**given)  # a field no flag gave (--trials for verify, say) keeps its default
+        parsed = _parse(sys.argv[1:] if argv is None else list(argv))
+        config = None if isinstance(parsed, str) else RunConfig(**parsed[1])  # a field no flag gave keeps its default
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        code = run_command(command, config)
+        if config is None:
+            print(parsed)  # the help text
+            code = 0
+        else:
+            code = run_command(parsed[0], config)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; point it at the null device so the flush at exit does not raise again

@@ -4,18 +4,23 @@ These deliberately avoid the library's projector-product route: joint
 probabilities are computed by expanding the state in an explicit joint
 eigenbasis (built by recursive eigenspace refinement) and summing squared
 amplitudes.  The seeded draws of random test inputs live here too, a
-hand-written reference for the CLI's compact JSON text, and the anchor and
-text of each claim check, flipped or not, written out from the paper's claim
-order.
+hand-written reference for the CLI's compact JSON text, an argparse reading
+of the CLI's command lines, and the anchor and text of each claim check,
+flipped or not, written out from the paper's claim order.
 """
 
 from __future__ import annotations
 
+import argparse
 import bisect
+import contextlib
+import functools
+import io
 import math
 
 import numpy as np
 
+from serlab.cli import _OPTIONS
 from serlab.states import PsiParams
 
 CLUSTER_TOL = 1e-8
@@ -201,6 +206,52 @@ def reference_json(value) -> str:
     if isinstance(value, dict):
         return "{" + ",".join(f"{_reference_key(key)}:{reference_json(item)}" for key, item in value.items()) + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# --- command lines, as argparse read them -------------------------------------
+
+
+@functools.cache
+def _argparse_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="serlab")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for flag, (field, kind, names, _) in _OPTIONS.items():
+        for name in names.split():
+            command = commands.choices.get(name) or commands.add_parser(name)
+            command.add_argument(flag, dest=field, type=kind, default=argparse.SUPPRESS)
+    return parser
+
+
+def argparse_reading(argv: list[str]) -> tuple[str, dict] | None:
+    """The command and given ``RunConfig`` fields that argparse reads from ``argv``, or None where it exits.
+
+    The reference for ``cli._parse``: an argparse parser of ``cli._OPTIONS``, fed the line as the CLI fed it while
+    argparse read its command lines.  A dash-led float after a float flag is attached to it first (``--b-im -8e-05``
+    as ``--b-im=-8e-05``), since argparse takes a dash-led token other than a plain decimal for an option.  The flags
+    have no choices, since which values are allowed is ``RunConfig``'s to say.  Help and every line argparse refuses
+    give None, and what argparse writes then is dropped.
+    """
+    floats = {flag for flag, (_, kind, *_) in _OPTIONS.items() if kind is float}
+    attached: list[str] = []
+    for token in argv:
+        if attached and attached[-1] in floats and token.startswith("-") and _is_float(token):
+            attached[-1] += f"={token}"
+        else:
+            attached.append(token)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            given = vars(_argparse_parser().parse_args(attached))
+        except SystemExit:
+            return None
+    return given.pop("command"), given
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 # --- flipped claims, in --flip-claim order --------------------------------------

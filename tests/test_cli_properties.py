@@ -22,7 +22,7 @@ from serlab.cli import RunConfig, dumps, main
 from serlab.hilbert import SCALAR_TOL
 from serlab.inference import SCENARIOS
 
-from oracles import PSI_TARGETS, flipped_anchor, flipped_claim_text, reference_json
+from oracles import PSI_TARGETS, argparse_reading, flipped_anchor, flipped_claim_text, reference_json
 
 PSI_SCENARIOS = tuple(PSI_TARGETS)
 NON_FINITE = ["nan", "NaN", "inf", "+inf", "-inf", "Infinity", "-Infinity"]
@@ -101,23 +101,26 @@ def test_non_finite_amplitude_exits_2(command, scenario, flag, value, attached):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# --- the option scanner against argparse --------------------------------------------
+# --- the option table against argparse -------------------------------------------
 
-SCAN_FLAGS = [*cli._OPTIONS, "--scen", "--a", "--tolerance", "-h", "--"]  # --trials is foreign to verify
-SCAN_SPECIALS = ["nan", "-inf", "1e300", "-8e-05", "1_0", "0x10", "", " 5 ", "-1", "+1", "9" * 5000]
+# every flag (--trials is foreign to verify), prefixes unique or ambiguous for one command or both, and unknown flags
+PARSE_FLAGS = [*cli._OPTIONS, "--scen", "--a", "--f", "--s", "--he", "--tolerance", "-h", "--"]
+PARSE_SPECIALS = ["nan", "-inf", "1e300", "-8e-05", "1_0", "0x10", "", " 5 ", "-1", "+1", "9" * 5000, "-h", "--seed"]
+CHOICES = {"--scenario": cli._SCENARIO_CHOICES, "--format": cli._FORMATS}
 # "=" and " " join a flag of the command's own to a value of its type; "odd" ones take any flag and a special value
-SCAN_JOINTS = ["=", " ", "=", " ", "=", " ", "odd=", "odd ", "odd alone"]
+PARSE_JOINTS = ["=", " ", "=", " ", "=", " ", "odd=", "odd ", "odd alone"]
 
 
 def _command_line(command, items):
     """``command``, then each flag alone, as ``--flag=value`` or as ``--flag value``."""
-    own = [flag for flag, spec in cli._OPTIONS.items() if command in spec[3].split()] or SCAN_FLAGS
+    own = [flag for flag, spec in cli._OPTIONS.items() if command in spec[2].split()] or PARSE_FLAGS
     argv = [command]
     for joint, pick, number in items:
-        flag = SCAN_FLAGS[pick % len(SCAN_FLAGS)] if "odd" in joint else own[pick % len(own)]
-        _, kind, choices, *_ = cli._OPTIONS.get(flag, (None, None, None))
-        value = SCAN_SPECIALS[pick % len(SCAN_SPECIALS)]
+        flag = PARSE_FLAGS[pick % len(PARSE_FLAGS)] if "odd" in joint else own[pick % len(own)]
+        kind = cli._OPTIONS.get(flag, (None, None))[1]
+        value = PARSE_SPECIALS[pick % len(PARSE_SPECIALS)]
         if "odd" not in joint and kind is not None:
+            choices = CHOICES.get(flag)
             value = choices[pick % len(choices)] if choices else repr(number) if kind is float else str(pick - 3)
         argv += [flag] if "alone" in joint else [f"{flag}={value}"] if "=" in joint else [flag, value]
     return argv
@@ -126,7 +129,7 @@ def _command_line(command, items):
 COMMAND_LINES = st.builds(
     _command_line,
     st.sampled_from(["verify", "sample", "verify", "sample", "bogus", "-h"]),
-    st.lists(st.tuples(st.sampled_from(SCAN_JOINTS), st.integers(0, 99), st.floats()), max_size=4),
+    st.lists(st.tuples(st.sampled_from(PARSE_JOINTS), st.integers(0, 99), st.floats()), max_size=4),
 )
 
 
@@ -137,22 +140,25 @@ def _config(given):
         return "ValueError", str(exc)
 
 
-@settings(max_examples=100)
-@given(COMMAND_LINES, st.booleans())
-@example(["verify", "--b-im", "-8e-05"], False)  # for argparse a flag without a value, then an unknown one
-@example(["sample", "--format", "1e300"], False)  # not a choice
-def test_scan_reads_a_command_line_as_argparse_does_or_declines_it(argv, attach):
-    # raw argv too, not only what main passes on: --a-re -8e-05 is for argparse a flag with no value
-    argv = cli._attach_negative_values(argv) if attach else argv
-    scanned = cli._scan(argv)
-    if scanned is None:
+@settings(max_examples=150)
+@given(COMMAND_LINES)
+@example(["verify", "--scen", "epr-psi"])
+@example(["verify", "--scenario", "epr-psi", "--b-im", "-8e-05"])  # a dash-led float is its flag's value
+@example(["verify", "--scenario", "epr-ghz", "--flip-claim", "-1"])
+@example(["sample", "--seed", "-1"])
+@example(["sample", "--format", "json", "--trials", "5", "--format", "text"])  # the last of a repeated flag wins
+@example(["verify", "--scenario", "-inf"])  # for argparse a flag without a value
+def test_every_line_argparse_read_is_read_alike_and_any_other_is_help_or_one_error_line(argv):
+    reading = argparse_reading(argv)
+    if reading is not None:
+        command, given = cli._parse(argv)
+        assert command == reading[0] and _config(given) == _config(reading[1])
         return
-    try:
-        parsed = vars(cli.build_parser().parse_args(argv))
-    except SystemExit as exc:
-        raise AssertionError(f"argparse exits {exc.code} on {argv!r}, which the scanner read as {scanned!r}") from None
-    assert scanned.pop("command") == parsed.pop("command")
-    assert _config(scanned) == _config(parsed)
+    code, out, err = run(argv)
+    if code == 0:
+        assert out.startswith("usage: serlab ") and err == "", f"{argv!r} ran, which argparse refused"
+    else:
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- JSON ----------------------------------------------------------------------------

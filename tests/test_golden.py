@@ -101,7 +101,7 @@ def test_demo_output(demo):
 
 
 def _corpus() -> list[list[str]]:
-    """Fixed CLI argument lists: every scenario and format, every flip index and its edges, rejected inputs."""
+    """Fixed CLI argument lists: every scenario and format, every flip index and its edges, rejected inputs, help."""
     scenarios = ["epr-psi", "epr-ghz", "bell-hardy", "bell-ghz", "all"]
     claims = {"epr-psi": 3, "epr-ghz": 24, "bell-hardy": 3, "bell-ghz": 24}
     corpus = []
@@ -121,22 +121,21 @@ def _corpus() -> list[list[str]]:
             [command, "--scenario", "nope"],
             [command, "--scenario", "all", "--a-re", "0.4", "--b-im", "-8e-05"],
         ]
+    corpus += [["-h"], ["verify", "-h"], ["sample", "--help"], ["verify", "--scenario"]]  # help, and a value missing
+    corpus.append(["verify", "--scen", "epr-psi", "--format", "json"])  # a unique prefix stands for its flag
     return corpus
 
 
 CORPUS_RUNS = REPORTS / "corpus.sha256"  # one "<sha256 of the run> <argv>" line per run, in corpus order
 
 
-def test_cli_corpus(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal width
+def test_cli_corpus():
     digest, runs = hashlib.sha256(), {}
     for argv in _corpus():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
+        assert code != 2 or err.getvalue().count("\n") == 1, f"serlab {' '.join(argv)}: a refusal takes one line"
         run = repr((argv, code, out.getvalue(), err.getvalue())).encode()
         digest.update(run)
         runs[" ".join(argv)] = hashlib.sha256(run).hexdigest()
